@@ -47,23 +47,27 @@ commands:
   locsys roundtrip DOC [W]            local-system round trip
   print DOC                           canonical reprint of the document
 
-flags: --json (default), --dot, --tau-window="(a,b]", --bound=N
+flags: --dot, --tau-window="(a,b]", --bound=N (N a positive integer)
 """
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    flags = {"json": True, "dot": False, "tau": None, "bound": None}
+    flags = {"dot": False, "tau": None, "bound": None}
     args = []
     for a in argv:
-        if a == "--json":
-            flags["json"] = True
-        elif a == "--dot":
+        if a == "--dot":
             flags["dot"] = True
         elif a.startswith("--tau-window=") or a.startswith("--tau="):
             flags["tau"] = a.split("=", 1)[1]
         elif a.startswith("--bound="):
-            flags["bound"] = int(a.split("=", 1)[1])
+            value = a.split("=", 1)[1]
+            if not (value.isascii() and value.isdigit() and int(value) > 0):
+                sys.stderr.write("invalid --bound value %r: expected a "
+                                 "positive integer\n" % value)
+                sys.stderr.write(USAGE)
+                return 1
+            flags["bound"] = int(value)
         elif a.startswith("--"):
             sys.stderr.write("unknown flag %s\n" % a)
             sys.stderr.write(USAGE)

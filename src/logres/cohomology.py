@@ -267,10 +267,6 @@ class CohomologyReport:
     def group_equals_local_system(self):
         return self.group_v0 == self.local_system
 
-    def euler(self, side="de_rham"):
-        dims = getattr(self, side)
-        return sum((-1) ** i * d for i, d in enumerate(dims))
-
     def __repr__(self):
         return ("CohomologyReport(deRham=%s, groupV0=%s, localSystem=%s, "
                 "adapted=%r)" % (list(self.de_rham), list(self.group_v0),

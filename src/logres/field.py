@@ -31,9 +31,6 @@ class GaussRat:
     def is_zero(self):
         return self.re == 0 and self.im == 0
 
-    def is_rational(self):
-        return self.im == 0
-
     def is_integer(self):
         return self.im == 0 and self.re.denominator == 1
 

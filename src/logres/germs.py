@@ -48,10 +48,6 @@ def pmul(a, b):
     return pnorm(out)
 
 
-def pscale(a, c):
-    return pnorm([x * c for x in a])
-
-
 def pdivmod(a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")

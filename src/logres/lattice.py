@@ -14,15 +14,6 @@ def identity_int(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul_int(a, b):
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)] for i in range(n)]
-
-
-def mat_vec_int(a, v):
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
-
-
 def hnf_rows(rows):
     """Row-style Hermite normal form of the lattice spanned by `rows`.
 

@@ -1,16 +1,28 @@
 """Exact matrices over Q(i) and simultaneous generalized-eigenspace
 decomposition of commuting families.
 
+Matrices hold GaussRat entries, but the hot paths work in Python integers
+over Z[i]: a matrix A is scaled once by the least common denominator d of
+its entries and split into two integer matrices, A = (re + i*im) / d.
+Products multiply the integer forms and divide by da*db once per output
+entry.  The characteristic polynomial is computed by Berkowitz's
+division-free algorithm on M = d*A, an O(n^4) recurrence that needs only
+ring operations, and coefficient k of det(xI - A) is that of det(xI - M)
+divided by d^(n-k).
+
 Eigenvalues are extracted from the characteristic polynomial by a
 rational-root search over Q(i): after clearing denominators the candidate
 roots are Gaussian integers dividing the constant term, so the search is
-bounded by coefficient divisors.  Matrices whose spectrum leaves Q(i)
-raise IrrationalEigenvalue.
+bounded by coefficient divisors.  Candidates are tested by Horner's rule in
+Gaussian-integer arithmetic, which also deflates the polynomial by each
+root found.  Matrices whose spectrum leaves Q(i) raise IrrationalEigenvalue.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
+from operator import mul
 
 from .errors import IrrationalEigenvalue, NonCommuting
 from .field import GaussRat, ZERO, ONE, as_scalar
@@ -84,8 +96,9 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            cols = [other.column(j) for j in range(other.cols)]
-            return Matrix([[_dot(r, c) for c in cols] for r in self.entries])
+            da, a = _int_form(self)
+            db, b = _int_form(other)
+            return _from_int_form(da * db, _gi_matmul(a, b))
         return self.scale(other)
 
     __rmul__ = scale
@@ -100,7 +113,7 @@ class Matrix:
         return all(x.is_zero() for r in self.entries for x in r)
 
     def commutes_with(self, other):
-        return (self * other - other * self).is_zero()
+        return self * other == other * self
 
     def is_nilpotent(self):
         if not self.is_square():
@@ -206,27 +219,114 @@ class Matrix:
     def charpoly(self):
         """Monic characteristic polynomial det(xI - A), low-to-high coefficients.
 
-        Faddeev-LeVerrier; exact since the base field has characteristic 0.
+        Berkowitz's algorithm on the Gaussian-integer matrix M = d*A; the
+        coefficient of x^k is that of det(xI - M) divided by d^(n-k).
         """
+        if not self.is_square():
+            raise ValueError("charpoly of non-square matrix")
         n = self.rows
-        if n == 0:
-            return [ONE]
-        coeffs = [ZERO] * n + [ONE]  # x^n coefficient
-        m = Matrix.identity(n)
-        for k in range(1, n + 1):
-            am = self * m
-            tr = sum((am.entries[i][i] for i in range(n)), ZERO)
-            c = -(tr / GaussRat(k))
-            coeffs[n - k] = c
-            m = am + Matrix.identity(n).scale(c)
-        return coeffs
+        d, m = _int_form(self)
+        pr, pi = _berkowitz(m)
+        pi = pi or [0] * (n + 1)
+        return [_gauss(pr[n - k], pi[n - k], d ** (n - k)) for k in range(n + 1)]
 
 
-def _dot(u, v):
-    out = ZERO
-    for a, b in zip(u, v):
-        out = out + a * b
-    return out
+# -- Gaussian-integer kernels ------------------------------------------------
+#
+# A Gaussian-integer matrix is a pair (re, im) of integer row lists; im is
+# None when the matrix is real, so real inputs pay for one product only.
+
+def _int_form(m: Matrix):
+    """(d, (re, im)) with m = (re + i*im) / d and d the least common
+    denominator of the entries."""
+    ents = m.entries
+    real = not any(x.im for row in ents for x in row)
+    dens = {x.re.denominator for row in ents for x in row}
+    if not real:
+        dens.update(x.im.denominator for row in ents for x in row)
+    d = lcm(*dens)
+    re = [[x.re.numerator * (d // x.re.denominator) for x in row]
+          for row in ents]
+    im = None if real else [[x.im.numerator * (d // x.im.denominator)
+                             for x in row] for row in ents]
+    return d, (re, im)
+
+
+def _gauss(re, im, d):
+    return GaussRat(Fraction(re, d), Fraction(im, d)) if re or im else ZERO
+
+
+def _from_int_form(d, m) -> Matrix:
+    re, im = m
+    if im is None:
+        return Matrix([[_gauss(x, 0, d) for x in row] for row in re])
+    return Matrix([[_gauss(x, y, d) for x, y in zip(rr, ri)]
+                   for rr, ri in zip(re, im)])
+
+
+def _imatmul(a, bcols):
+    return [[sum(map(mul, row, col)) for col in bcols] for row in a]
+
+
+def _gi_matmul(a, b):
+    """Product of Gaussian-integer matrices: (ar + i*ai)(br + i*bi)."""
+    (ar, ai), (br, bi) = a, b
+    brc = list(zip(*br))
+    re = _imatmul(ar, brc)
+    if ai is None and bi is None:
+        return re, None
+    im = None if ai is None else _imatmul(ai, brc)
+    if bi is not None:
+        bic = list(zip(*bi))
+        cross = _imatmul(ar, bic)
+        im = cross if im is None else [list(map(int.__add__, x, y))
+                                       for x, y in zip(im, cross)]
+        if ai is not None:
+            re = [list(map(int.__sub__, x, y))
+                  for x, y in zip(re, _imatmul(ai, bic))]
+    return re, im
+
+
+def _gi_block(m, rows, cols):
+    re, im = m
+    return ([[re[i][j] for j in cols] for i in rows],
+            None if im is None else [[im[i][j] for j in cols] for i in rows])
+
+
+def _toeplitz(col):
+    """The len(col) x (len(col) - 1) lower-triangular Toeplitz matrix with
+    first column col."""
+    return [[col[i - j] if i >= j else 0 for j in range(len(col) - 1)]
+            for i in range(len(col))]
+
+
+def _berkowitz(m):
+    """Descending coefficients (re, im) of det(xI - M) for a square
+    Gaussian-integer matrix M; im is None when M is real.
+
+    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984):
+    with M_r the leading r x r block, R and C the rest of row and column
+    r, and a = M[r][r], the charpoly of M_(r+1) is the lower-triangular
+    Toeplitz matrix with first column (1, -a, -RC, -R M_r C, ...,
+    -R M_r^(r-1) C) times the charpoly of M_r.
+    """
+    re, im = m
+    p = ([[1]], None)
+    for r in range(len(re)):
+        lead = _gi_block(m, range(r), range(r))
+        row = _gi_block(m, [r], range(r))
+        v = _gi_block(m, range(r), [r])
+        cr, ci = [1, -re[r][r]], [0, 0 if im is None else -im[r][r]]
+        for k in range(r):
+            if k:
+                v = _gi_matmul(lead, v)
+            sr, si = _gi_matmul(row, v)
+            cr.append(-sr[0][0])
+            ci.append(0 if si is None else -si[0][0])
+        p = _gi_matmul((_toeplitz(cr), None if im is None else _toeplitz(ci)),
+                       p)
+    pr, pi = p
+    return [x[0] for x in pr], None if pi is None else [x[0] for x in pi]
 
 
 def matrix_rank(m: Matrix) -> int:
@@ -234,32 +334,37 @@ def matrix_rank(m: Matrix) -> int:
     return m.rank()
 
 
-# -- polynomial helpers over Q(i) -------------------------------------------
+# -- rational roots over Q(i) -------------------------------------------------
 
-def _poly_normalize(p):
-    while len(p) > 1 and p[-1].is_zero():
-        p = p[:-1]
-    return p
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [ZERO] * max(0, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        f = a[i] / lead
-        q[i - db] = f
-        if not f.is_zero():
-            for j in range(db + 1):
-                a[i - db + j] = a[i - db + j] - f * b[j]
-    return _poly_normalize(q) if q else [ZERO], _poly_normalize(a[:db] or [ZERO])
+def _deflate(q, z):
+    """Synthetic division of the descending Gaussian-integer polynomial q
+    (a list of (re, im) pairs) by (y - z), by Horner's rule.  Returns the
+    quotient, or None when z is not a root."""
+    zr, zi = z
+    ar = ai = 0
+    out = []
+    for cr, ci in q:
+        ar, ai = ar * zr - ai * zi + cr, ar * zi + ai * zr + ci
+        out.append((ar, ai))
+    if ar or ai:
+        return None
+    out.pop()
+    return out
 
 
-def _poly_eval(p, x: GaussRat):
-    out = ZERO
-    for c in reversed(p):
-        out = out * x + c
+def _scaled_coeffs(poly, d):
+    """Descending coefficients of d^m * poly(y / d) as Gaussian-integer
+    pairs, or None if some coefficient is not a Gaussian integer."""
+    m = len(poly) - 1
+    out = []
+    for i in range(m, -1, -1):
+        f = d ** (m - i)
+        c = poly[i]
+        re, rr = divmod(c.re.numerator * f, c.re.denominator)
+        im, ir = divmod(c.im.numerator * f, c.im.denominator)
+        if rr or ir:
+            return None
+        out.append((re, im))
     return out
 
 
@@ -273,7 +378,9 @@ def gaussian_rational_roots(poly, scale=1, root_norm_cap=None):
     matrix), passing scale plus a norm bound on the scaled roots keeps the
     divisor search small.
     """
-    poly = _poly_normalize(list(poly))
+    poly = list(poly)
+    while len(poly) > 1 and poly[-1].is_zero():
+        poly.pop()
     n = len(poly) - 1
     roots = {}
     # strip zero roots
@@ -286,42 +393,37 @@ def gaussian_rational_roots(poly, scale=1, root_norm_cap=None):
     if len(poly) == 1:
         return roots, sum(roots.values()) == n
     d = scale
-    m = len(poly) - 1
-    intcoeffs = [poly[i] * GaussRat(d) ** (m - i) for i in range(m + 1)]
-    if any(not c.is_gaussian_integer() for c in intcoeffs):
+    q = _scaled_coeffs(poly, d)
+    if q is None:
         # fall back: clear all denominators (adequate for small inputs)
-        for c in poly:
-            d = _lcm(d, c.re.denominator, c.im.denominator)
-        intcoeffs = [poly[i] * GaussRat(d) ** (m - i) for i in range(m + 1)]
+        d = lcm(d, *(den for c in poly
+                     for den in (c.re.denominator, c.im.denominator)))
+        q = _scaled_coeffs(poly, d)
         root_norm_cap = None
-    const = intcoeffs[0]
-    cz = (int(const.re), int(const.im))
     cap = root_norm_cap
     if cap is None:
         # Cauchy: roots of a monic integral polynomial have
         # |y| <= 1 + max |coefficient|
-        from math import isqrt
-
         maxabs = 1
-        for c in intcoeffs[:-1]:
-            maxabs = max(maxabs, isqrt(int(c.re) ** 2 + int(c.im) ** 2) + 1)
+        for cr, ci in q[1:]:
+            maxabs = max(maxabs, isqrt(cr * cr + ci * ci) + 1)
         cap = (1 + maxabs) ** 2
-    candidates = set()
-    for div in gi_divisors(cz, norm_cap=cap):
+    left = len(q) - 1
+    for div in gi_divisors(q[-1], norm_cap=cap):
         for u in UNITS:
             z = gi_mul(div, u)
-            candidates.add(GaussRat(Fraction(z[0], d), Fraction(z[1], d)))
-    found = [x for x in candidates if _poly_eval(poly, x).is_zero()]
-    for x in found:
-        mult = 0
-        p = poly
-        while True:
-            q, r = _poly_divmod(p, [-x, ONE])
-            if not (len(r) == 1 and r[0].is_zero()):
-                break
-            mult += 1
-            p = q
-        roots[x] = mult
+            mult = 0
+            while left:
+                smaller = _deflate(q, z)
+                if smaller is None:
+                    break
+                q = smaller
+                mult += 1
+                left -= 1
+            if mult:
+                roots[_gauss(z[0], z[1], d)] = mult
+            if not left:
+                return roots, True
     return roots, sum(roots.values()) == n
 
 
@@ -332,26 +434,16 @@ def matrix_eigenvalues(m: Matrix):
     the scaled matrix are Gaussian integers bounded by the max row sum,
     which keeps the divisor search tight.  Returns (roots, fully_split).
     """
-    from math import isqrt
-
-    d = 1
-    for row in m.entries:
-        for x in row:
-            d = _lcm(d, x.re.denominator, x.im.denominator)
-    scaled = m.scale(GaussRat(d))
+    d, (re, im) = _int_form(m)
+    if im is None:
+        im = [[0] * m.cols for _ in range(m.rows)]
     rowsum = 1
-    for row in scaled.entries:
-        s = sum(isqrt(int(x.re) ** 2 + int(x.im) ** 2) + 1 for x in row)
+    for rr, ri in zip(re, im):
+        s = sum(isqrt(x * x + y * y) + 1 for x, y in zip(rr, ri))
         rowsum = max(rowsum, s)
     roots, split = gaussian_rational_roots(m.charpoly(), scale=d,
                                            root_norm_cap=rowsum * rowsum)
     return roots, split
-
-
-def _lcm(*xs):
-    from math import lcm
-
-    return lcm(*xs)
 
 
 # -- joint eigen decomposition ----------------------------------------------
@@ -393,8 +485,8 @@ def _restriction(op: Matrix, basis: Matrix) -> Matrix:
 
 
 def _mat_power(m: Matrix, k: int) -> Matrix:
-    out = Matrix.identity(m.rows)
-    for _ in range(k):
+    out = m
+    for _ in range(k - 1):
         out = out * m
     return out
 

@@ -2,8 +2,10 @@
 
 Each oracle recomputes a quantity by a different route than the library:
 brute-force box scans for monoid combinatorics, a valuation-tracked
-lattice saturation for the Fuchs test, and kernel/image ranks on an
-independently assembled Koszul complex.
+lattice saturation for the Fuchs test, kernel/image ranks on an
+independently assembled Koszul complex, and GaussRat-at-a-time products
+and Faddeev-LeVerrier characteristic polynomials for the integer kernels
+of logres.linalg.
 """
 
 from logres.field import GaussRat, ZERO, ONE
@@ -261,6 +263,40 @@ def saturation_is_fuchsian(germ, max_iter=None):
 
 
 # -- linear algebra oracles -----------------------------------------------------
+
+def naive_matmul(a, b):
+    """Product by the textbook triple loop, one GaussRat at a time."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            s = ZERO
+            for k in range(a.cols):
+                s = s + a.entries[i][k] * b.entries[k][j]
+            row.append(s)
+        out.append(row)
+    return Matrix(out)
+
+
+def faddeev_leverrier_charpoly(m):
+    """det(xI - m), low-to-high, by the Faddeev-LeVerrier trace recurrence
+    over GaussRat (exact in characteristic 0), with naive products."""
+    n = m.rows
+    coeffs = [ZERO] * n + [ONE]
+    ident = Matrix.identity(n)
+    mk = ident
+    for k in range(1, n + 1):
+        am = naive_matmul(m, mk)
+        tr = ZERO
+        for i in range(n):
+            tr = tr + am.entries[i][i]
+        c = -(tr / GaussRat(k))
+        coeffs[n - k] = c
+        mk = am + ident.scale(c)
+    return coeffs
+
 
 def minor_rank(m):
     """Rank as the largest size of a nonvanishing minor."""

@@ -139,6 +139,24 @@ def test_cli_unknown_command_exit_1():
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize("value", ["x", "", "1.5", "-1", "0"])
+def test_cli_bad_bound_is_usage_error(value):
+    r = run_cli(["faces", demo_path("quadric.txt"), "P", "--bound=" + value])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    first, rest = r.stderr.split("\n", 1)
+    assert first == ("invalid --bound value %r: expected a positive integer"
+                     % value)
+    assert rest.startswith("usage: logres")
+
+
+def test_cli_bound_flag_accepted():
+    r = run_cli(["radical", demo_path("quadric.txt"), "--bound=6"])
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["diagnostics"] == []
+
+
 def test_cli_reports_byte_stable(sample_path):
     a = run_cli(["rh", "to-lobject", sample_path, "C"])
     b = run_cli(["rh", "to-lobject", sample_path, "C"])
