@@ -112,6 +112,9 @@ def main(argv=None) -> int:
     except ParseError as e:
         _emit_error(command, path, "ParseError: %s" % e)
         return 3
+    except LogresError as e:
+        _emit_error(command, path, "%s: %s" % (type(e).__name__, e))
+        return 2
     try:
         result, names, dot = handler(doc, args, flags)
     except ParseError as e:

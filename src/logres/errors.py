@@ -66,6 +66,16 @@ class NotNcType(LogresError):
     """Operation requires a model whose monoid is free."""
 
 
+class InvalidDeclaration(LogresError):
+    """A well-formed declaration whose value the library rejects; names the
+    declaration and its 1-based line."""
+
+    def __init__(self, declaration, line, reason):
+        super().__init__("%s (line %d): %s" % (declaration, line, reason))
+        self.declaration = declaration
+        self.line = line
+
+
 class ParseError(LogresError):
     """Input text failed to parse; carries 1-based line/column."""
 

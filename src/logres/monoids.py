@@ -5,18 +5,43 @@ A monoid is presented by generators inside Z^d.  Saturation is never
 enforced; it is a bounded query.  Membership of a vector is decided by a
 box-bounded search over the generator representation, with the bound
 exposed (default: componentwise 4 * max coordinate), so callers can stress
-it.  Face enumeration is exact: a generator subset spans a face iff a
-rational supporting functional exists, decided by Fourier-Motzkin
-elimination.
+it.  Face enumeration is exact: the cone's facets are computed once, as the
+integer normals of hyperplanes through its generators, and the faces are
+the intersections of the facets' generator index sets (the closed sets of
+the generator-facet incidence).  A face handed in by a caller is certified
+independently by a rational supporting functional, decided by
+Fourier-Motzkin elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import NotAFace
 from .lattice import (hnf_rows, lattice_rank, rational_kernel, snf,
                       strictly_positive_solution)
+
+
+def _det(m):
+    """Determinant of a square integer matrix (Bareiss, exact division)."""
+    m = [list(row) for row in m]
+    n = len(m)
+    if not n:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            p = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if p is None:
+                return 0
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 def _default_bound(vectors):
@@ -138,19 +163,57 @@ class AffineMonoid:
         """All faces, sorted by (size, indices); memoized.
 
         Includes the unit face (minimum) and the whole monoid (maximum).
+        Every proper face of a polyhedral cone is the intersection of the
+        facets that contain it, so the faces are the full generator index
+        set and every intersection of facet index sets, found by closing
+        the facets under intersection.
         """
         if self._faces is not None:
             return self._faces
-        n = len(self.generators)
-        out = []
-        for mask in range(1 << n):
-            idx = frozenset(j for j in range(n) if mask >> j & 1)
-            if self._is_face_subset(idx):
-                out.append(Face(self, idx))
+        facets = self._facets()
+        full = frozenset(range(len(self.generators)))
+        found = {full}
+        work = [full]
+        while work:
+            s = work.pop()
+            for f in facets:
+                t = s & f
+                if t not in found:
+                    found.add(t)
+                    work.append(t)
+        out = [Face(self, idx) for idx in found]
         out.sort(key=lambda f: (len(f.generator_indices),
                                 tuple(sorted(f.generator_indices))))
         self._faces = out
         return out
+
+    def _facets(self):
+        """Generator index sets of the facets of the cone of P.
+
+        Projecting onto the leading columns of the Hermite basis of P^gp
+        is injective on its span, so the projected cone is full-dimensional
+        in Q^r.  A facet's hyperplane is spanned by r - 1 independent
+        generators, and its normal is their generalised cross product (the
+        signed (r-1)-minors).  A nonzero normal of one sign on every
+        generator supports a facet: the generators where it vanishes.
+        """
+        basis = self.group_basis()
+        r = len(basis)
+        if r == 0:
+            return []
+        cols = [next(j for j, x in enumerate(row) if x) for row in basis]
+        proj = [tuple(g[c] for c in cols) for g in self.generators]
+        points = sorted({p for p in proj if any(p)})
+        facets = set()
+        for sub in combinations(points, r - 1):
+            normal = [(-1) ** i
+                      * _det([[v[c] for c in range(r) if c != i] for v in sub])
+                      for i in range(r)]
+            values = [sum(a * b for a, b in zip(normal, p)) for p in proj]
+            if not any(values) or min(values) < 0 < max(values):
+                continue  # dependent subset, or a hyperplane through the cone
+            facets.add(frozenset(j for j, v in enumerate(values) if v == 0))
+        return list(facets)
 
     def _is_face_subset(self, idx):
         inside = [self.generators[j] for j in sorted(idx)]

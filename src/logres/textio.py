@@ -14,7 +14,7 @@ from fractions import Fraction
 from .canext import GoodEmbeddingModel, TauSection
 from .cohomology import LocalSystem
 from .connections import LogConnection, LogDifferentials, MonPoly
-from .errors import ParseError
+from .errors import InvalidDeclaration, ParseError
 from .field import GaussRat, ZERO, ONE, I as IUNIT, format_scalar
 from .germs import DiffModuleGerm, GermMap, RatFunc, poly_const, POLY_T
 from .linalg import Matrix
@@ -374,7 +374,10 @@ def _decl_monoid(p, doc):
     name = p.expect("NAME", "a name").text
     p.expect("=", "'='")
     gens = p.parse_vector_list()
-    value = AffineMonoid(gens)
+    try:
+        value = AffineMonoid(gens)
+    except ValueError as e:
+        raise InvalidDeclaration("monoid %s" % name, t.line, str(e)) from e
     src = "monoid %s = %s" % (name, _fmt_veclist(gens))
     doc.add("monoid", name, value, src, t)
 
@@ -392,7 +395,11 @@ def _decl_ideal(p, doc):
         monoid = doc.get(mname, "monoid")
     except KeyError as e:
         p.fail(str(e))
-    value = MonoidIdeal(monoid, gens)
+    try:
+        value = MonoidIdeal(monoid, gens)
+    except ValueError as e:
+        raise InvalidDeclaration("ideal %s in %s" % (name, mname), t.line,
+                                 str(e)) from e
     src = "ideal %s in %s = %s" % (name, mname, _fmt_veclist(gens))
     doc.add("ideal", name, value, src, t)
     doc.sources[name + "~monoid"] = mname

@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from logres.corpus import rng
 from logres.errors import NotAFace
 from logres.lattice import snf
 from logres.monoids import (AffineMonoid, Face, ModelClass, MonoidIdeal,
@@ -53,17 +55,76 @@ def test_faces_against_brute_force():
         assert set(mine) == set(oracle), P
 
 
+def assert_closed_with_min_max(fs):
+    sets = [f.generator_indices for f in fs]
+    for a in sets:
+        for b in sets:
+            assert a & b in sets
+    assert min(sets, key=len) <= max(sets, key=len)
+    # unique minimum and maximum under inclusion
+    mn, mx = fs[0].generator_indices, fs[-1].generator_indices
+    assert all(mn <= s <= mx for s in sets)
+
+
 def test_faces_closed_under_intersection_with_min_max():
     for P in (N2, P112, Z):
+        assert_closed_with_min_max(faces(P))
+
+
+def random_face_corpus(r, count=150):
+    """Generator lists in Z^1..Z^4 with entries in -2..2: zero vectors,
+    duplicates, lineality (a generator and its negative) and spans of
+    lower rank than the ambient lattice, plus the empty monoids."""
+    out = [AffineMonoid((), ambient_rank=d) for d in range(5)]
+    for _ in range(count):
+        d = r.randint(1, 4)
+        gens = [[r.randint(-2, 2) for _ in range(d)]
+                for _ in range(r.randint(1, 6))]
+        kind = r.randrange(5)
+        if kind == 0:
+            gens.append([0] * d)
+        elif kind == 1:
+            gens.append(list(r.choice(gens)))
+        elif kind == 2:
+            gens.append([-x for x in r.choice(gens)])
+        elif kind == 3 and d > 1:
+            dead = r.randrange(d)
+            for g in gens:
+                g[dead] = 0
+        r.shuffle(gens)
+        out.append(AffineMonoid(gens))
+    return out
+
+
+def test_faces_match_subset_scan_on_random_corpus():
+    # every generator subset accepted by the Fourier-Motzkin certificate,
+    # in the (size, sorted indices) order, and nothing else
+    for P in random_face_corpus(rng(4401)):
+        n = len(P.generators)
+        scan = [frozenset(j for j in range(n) if mask >> j & 1)
+                for mask in range(1 << n)]
+        scan = sorted((s for s in scan if P._is_face_subset(s)),
+                      key=lambda s: (len(s), sorted(s)))
         fs = faces(P)
-        sets = [f.generator_indices for f in fs]
-        for a in sets:
-            for b in sets:
-                assert a & b in sets
-        assert min(sets, key=len) <= max(sets, key=len)
-        # unique minimum and maximum under inclusion
-        mn, mx = fs[0].generator_indices, fs[-1].generator_indices
-        assert all(mn <= s <= mx for s in sets)
+        assert [f.generator_indices for f in fs] == scan, P
+        assert_closed_with_min_max(fs)
+
+
+def test_faces_of_sixteen_generator_cone_within_budget():
+    # the cone over a convex octagon with 8 interior points: 8 rays,
+    # 8 two-dimensional faces, the apex and the whole cone
+    octagon = [(3, 1), (1, 3), (-1, 3), (-3, 1),
+               (-3, -1), (-1, -3), (1, -3), (3, -1)]
+    interior = [(0, 0), (1, 0), (0, 1), (-1, 0),
+                (0, -1), (1, 1), (-1, -1), (1, -1)]
+    P = AffineMonoid([(1, a, b) for a, b in octagon + interior])
+    t0 = time.perf_counter()
+    fs = faces(P)
+    elapsed = time.perf_counter() - t0
+    assert len(fs) == 2 * 8 + 2
+    assert sorted(len(f.generator_indices) for f in fs) == \
+        [0] + [1] * 8 + [2] * 8 + [16]
+    assert elapsed < 2.0, elapsed
 
 
 def test_localize_examples():

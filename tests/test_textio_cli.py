@@ -191,6 +191,27 @@ def test_cli_domain_error_exit_2(tmp_path):
                for d in json.loads(r.stdout)["diagnostics"])
 
 
+@pytest.mark.parametrize("text, diagnostic", [
+    ("monoid P = [[1,0],[1,1,2]]\n",
+     "monoid P (line 1): generators of mixed dimension"),
+    ("monoid P = []\n",
+     "monoid P (line 1): ambient_rank required for the zero monoid"),
+    ("monoid P = [[1,0]]\nideal K in P = [[1]]\n",
+     "ideal K in P (line 2): dimension mismatch"),
+    ("monoid P = [[1,0],[0,1]]\nideal K in P = [[-1,0]]\n",
+     "ideal K in P (line 2): ideal generator (-1, 0) is not in the monoid"),
+], ids=["mixed-dimension", "zero-monoid", "ideal-dimension", "ideal-outside"])
+def test_cli_invalid_declaration_exit_2(tmp_path, text, diagnostic):
+    p = tmp_path / "invalid.txt"
+    p.write_text(text)
+    r = run_cli(["faces", str(p)])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    out = json.loads(r.stdout)
+    assert out["result"] is None
+    assert out["diagnostics"] == ["InvalidDeclaration: " + diagnostic]
+
+
 def test_lobject_json_round_trip():
     from logres.corpus import free_model, random_lobject, rng
     from logres.textio import lobject_from_json, lobject_to_json
