@@ -120,7 +120,8 @@ def main(argv=None) -> int:
     except ParseError as e:
         _emit_error(command, path, "ParseError: %s" % e)
         return 3
-    except (LogresError, KeyError, ValueError, ZeroDivisionError) as e:
+    except (LogresError, KeyError, IndexError, ValueError,
+            ZeroDivisionError) as e:
         _emit_error(command, path, "%s: %s" % (type(e).__name__, e))
         return 2
     if flags["dot"] and dot is not None:

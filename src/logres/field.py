@@ -28,6 +28,9 @@ class GaussRat:
 
     # -- basic predicates -------------------------------------------------
 
+    def __bool__(self):
+        return self.re.numerator != 0 or self.im.numerator != 0
+
     def is_zero(self):
         return self.re == 0 and self.im == 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .errors import CyclicVectorNotFound, NonUnitValue
 from .field import GaussRat, ZERO, ONE, as_scalar
+from .linalg import solve_columns
 
 
 # -- dense univariate polynomials over Q(i), low to high ---------------------
@@ -143,6 +144,9 @@ class RatFunc:
             return RatFunc((ZERO,) * k + (ONE,))
         return RatFunc((ONE,), (ZERO,) * (-k) + (ONE,))
 
+    def __bool__(self):
+        return bool(self.num)
+
     def is_zero(self):
         return not self.num
 
@@ -163,6 +167,12 @@ class RatFunc:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
         return RatFunc(pmul(self.num, other.den), pmul(self.den, other.num))
+
+    def __rtruediv__(self, c):
+        """c / self for a scalar c, such as the pivot inverse 1 / f."""
+        if self.is_zero():
+            raise ZeroDivisionError("division by the zero function")
+        return RatFunc(pmul(poly_const(c), self.den), self.num)
 
     def __pow__(self, k):
         out = RF_ONE
@@ -259,27 +269,8 @@ def rf_mat_neg(a):
 
 def rf_solve(a, rhs_cols):
     """Solve a X = B over the rational-function field; None if singular."""
-    n = len(a)
-    k = len(rhs_cols)
-    aug = [list(a[i]) + [rhs_cols[j][i] for j in range(k)] for i in range(n)]
-    row = 0
-    piv_cols = []
-    for c in range(n):
-        p = next((i for i in range(row, n) if not aug[i][c].is_zero()), None)
-        if p is None:
-            continue
-        aug[row], aug[p] = aug[p], aug[row]
-        inv = RF_ONE / aug[row][c]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(n):
-            if i != row and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        piv_cols.append(c)
-        row += 1
-    if row < n:
-        return None
-    return [tuple(aug[i][n + j] for i in range(n)) for j in range(k)]
+    pivots, sol = solve_columns(a, rhs_cols, RF_ZERO)
+    return sol if len(pivots) == len(a) else None
 
 
 def rf_inverse(a):

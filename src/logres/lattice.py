@@ -2,12 +2,17 @@
 
 Plain list-of-list matrices over int / Fraction: Hermite and Smith normal
 forms with transformation tracking, rational kernels, and an exact
-Fourier-Motzkin feasibility test for strict supporting functionals.
+Fourier-Motzkin feasibility test for strict supporting functionals.  The
+Hermite and Smith forms are integer algorithms of their own; the rational
+kernel runs the library's one Gauss-Jordan elimination, linalg.gauss_jordan,
+over Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .linalg import gauss_jordan, kernel_vectors
 
 
 def identity_int(n):
@@ -158,35 +163,8 @@ def snf(a):
 
 def rational_kernel(rows):
     """Basis of {x in Q^n : rows * x = 0}, as Fraction vectors."""
-    if not rows:
-        return []
-    m, n = len(rows), len(rows[0])
     a = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        basis.append(v)
-    return basis
+    return kernel_vectors(a, gauss_jordan(a), Fraction(0), Fraction(1))
 
 
 def strictly_positive_solution(rows):

@@ -1,5 +1,11 @@
-"""Exact matrices over Q(i) and simultaneous generalized-eigenspace
-decomposition of commuting families.
+"""Exact matrices over Q(i), the library's one Gauss-Jordan elimination,
+and simultaneous generalized-eigenspace decomposition of commuting families.
+
+All elimination over a field lives in gauss_jordan, with kernel_vectors
+and solve_columns on top of it.  They work on plain row lists of any field
+type with + - * / and a falsy zero: GaussRat here, Fraction in lattice and
+monoids, and RatFunc (Q(i)(t)) in germs.  The Matrix methods and those
+modules' entry points only convert formats around them.
 
 Matrices hold GaussRat entries, but the hot paths work in Python integers
 over Z[i]: a matrix A is scaled once by the least common denominator d of
@@ -27,6 +33,75 @@ from operator import mul
 from .errors import IrrationalEigenvalue, NonCommuting
 from .field import GaussRat, ZERO, ONE, as_scalar
 from .gaussint import UNITS, gi_divisors, gi_mul
+
+
+# -- Gauss-Jordan elimination over a field ----------------------------------
+
+def gauss_jordan(a, n=None):
+    """Reduce the row lists a, in place, to reduced row echelon form over a
+    field and return the pivot columns.
+
+    Pivots are taken only in the first n columns (default: all), so the
+    columns after them, such as the right-hand sides of a system, are
+    carried along but never pivoted on.  Each pivot is inverted once and
+    scales its row; every other row with a nonzero entry in the pivot
+    column then becomes row - f * pivot_row.
+    """
+    m = len(a)
+    if n is None:
+        n = len(a[0]) if a else 0
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = 1 / a[r][c]
+        prow = a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [x - f * y for x, y in zip(a[i], prow)]
+        pivots.append(c)
+    return pivots
+
+
+def kernel_vectors(red, pivots, zero, one):
+    """Basis of the right kernel of a matrix from its reduced row echelon
+    form red (rows) and pivot columns: one vector per free column."""
+    n = len(red[0]) if red else 0
+    vecs = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [zero] * n
+        v[fc] = one
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][fc]
+        vecs.append(v)
+    return vecs
+
+
+def solve_columns(rows, rhs_cols, zero):
+    """Solve A X = B for the matrix rows A and the columns of B by one
+    elimination of [A | B].
+
+    Returns (pivot columns of A, solution columns), the solution None when
+    the system is inconsistent; free variables are set to zero.
+    """
+    n = len(rows[0]) if rows else 0
+    aug = [list(row) + [col[i] for col in rhs_cols]
+           for i, row in enumerate(rows)]
+    pivots = gauss_jordan(aug, n)
+    if any(x for row in aug[len(pivots):] for x in row[n:]):
+        return pivots, None
+    sol = [[zero] * len(rhs_cols) for _ in range(n)]
+    for row, pc in zip(aug, pivots):
+        sol[pc] = row[n:]
+    return pivots, [tuple(x[j] for x in sol) for j in range(len(rhs_cols))]
 
 
 class Matrix:
@@ -153,24 +228,7 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
         a = [list(r) for r in self.entries]
-        m, n = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(n):
-            p = next((i for i in range(r, m) if not a[i][c].is_zero()), None)
-            if p is None:
-                continue
-            a[r], a[p] = a[p], a[r]
-            inv = ONE / a[r][c]
-            a[r] = [inv * x for x in a[r]]
-            for i in range(m):
-                if i != r and not a[i][c].is_zero():
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
+        pivots = gauss_jordan(a)
         return Matrix(a), pivots
 
     def rank(self):
@@ -179,33 +237,12 @@ class Matrix:
     def kernel_basis(self):
         """Columns spanning the right kernel, from the RREF free variables."""
         red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        vecs = []
-        for fc in free:
-            v = [ZERO] * self.cols
-            v[fc] = ONE
-            for i, pc in enumerate(pivots):
-                v[pc] = -red.entries[i][fc]
-            vecs.append(v)
-        return vecs
+        return kernel_vectors(red.entries, pivots, ZERO, ONE)
 
     def solve(self, rhs_cols):
-        """Solve self * X = B for the column list rhs_cols; None if unsolvable."""
-        m, n = self.rows, self.cols
-        k = len(rhs_cols)
-        aug = [list(self.entries[i]) + [rhs_cols[j][i] for j in range(k)]
-               for i in range(m)]
-        red, pivots = Matrix(aug).rref()
-        for i in range(len(pivots), m):
-            if any(not red.entries[i][n + j].is_zero() for j in range(k)):
-                return None
-        sol = [[ZERO] * k for _ in range(n)]
-        for i, pc in enumerate(pivots):
-            if pc >= n:
-                return None
-            for j in range(k):
-                sol[pc][j] = red.entries[i][n + j]
-        return [tuple(sol[i][j] for i in range(n)) for j in range(k)]
+        """Solve self * X = B for the column list rhs_cols; None if unsolvable.
+        Free variables are set to zero."""
+        return solve_columns(self.entries, rhs_cols, ZERO)[1]
 
     def inverse(self):
         if not self.is_square():

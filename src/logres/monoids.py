@@ -21,6 +21,7 @@ from itertools import combinations
 from .errors import NotAFace
 from .lattice import (hnf_rows, lattice_rank, rational_kernel, snf,
                       strictly_positive_solution)
+from .linalg import solve_columns
 
 
 def _det(m):
@@ -405,37 +406,12 @@ def _coords_in_basis(basis, x):
     """Integer coordinates of x in the row basis, or None."""
     if not basis:
         return [] if not any(x) else None
-    cols = list(zip(*basis))  # d x r
     # solve basis^T c = x over Q, then check integrality
-    m = len(cols)      # = d
-    r = len(basis)
-    aug = [[Fraction(cols[i][j]) for j in range(r)] + [Fraction(x[i])]
-           for i in range(m)]
-    # gaussian elimination
-    piv = []
-    row = 0
-    for c in range(r):
-        p = next((i for i in range(row, m) if aug[i][c] != 0), None)
-        if p is None:
-            continue
-        aug[row], aug[p] = aug[p], aug[row]
-        f = aug[row][c]
-        aug[row] = [v / f for v in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][c] != 0:
-                g = aug[i][c]
-                aug[i] = [v - g * w for v, w in zip(aug[i], aug[row])]
-        piv.append(c)
-        row += 1
-    sol = [Fraction(0)] * r
-    for i, c in enumerate(piv):
-        sol[c] = aug[i][r]
-    for i in range(row, m):
-        if aug[i][r] != 0:
-            return None
-    if any(v.denominator != 1 for v in sol):
+    rows = [[Fraction(v) for v in col] for col in zip(*basis)]
+    _, sol = solve_columns(rows, [[Fraction(v) for v in x]], Fraction(0))
+    if sol is None or any(v.denominator != 1 for v in sol[0]):
         return None
-    return [int(v) for v in sol]
+    return [int(v) for v in sol[0]]
 
 
 def quotient_with_map(P: AffineMonoid, F: Face):

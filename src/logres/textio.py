@@ -344,7 +344,13 @@ def parse_document(text) -> Document:
         if handler is None:
             raise ParseError("unknown declaration %r" % kw, t.line, t.col,
                              expected=tuple(sorted(_DECLS)))
-        handler(p, doc)
+        name = p.peek(1).text
+        try:
+            handler(p, doc)
+        except (ValueError, IndexError, ZeroDivisionError) as e:
+            # a constructor rejected the declaration's value
+            raise InvalidDeclaration("%s %s" % (kw, name), t.line,
+                                     str(e)) from e
     return doc
 
 
@@ -374,10 +380,7 @@ def _decl_monoid(p, doc):
     name = p.expect("NAME", "a name").text
     p.expect("=", "'='")
     gens = p.parse_vector_list()
-    try:
-        value = AffineMonoid(gens)
-    except ValueError as e:
-        raise InvalidDeclaration("monoid %s" % name, t.line, str(e)) from e
+    value = AffineMonoid(gens)
     src = "monoid %s = %s" % (name, _fmt_veclist(gens))
     doc.add("monoid", name, value, src, t)
 
@@ -586,7 +589,7 @@ def _assemble_lobject(p, monoid, ideal, gens, gamma_blocks, couplings):
         if label != degrees[idx[0]][k]:
             p.fail("gamma%d label must equal the class degree coordinate"
                    % (k + 1))
-        if nil.rows != len(idx):
+        if nil.rows != len(idx) or nil.cols != len(idx):
             p.fail("nilpotent block size does not match the class")
         for a, ia in enumerate(idx):
             for b, ib in enumerate(idx):

@@ -5,8 +5,11 @@ import pytest
 from logres.corpus import random_scalar, rng
 from logres.errors import IrrationalEigenvalue, NonCommuting
 from logres.field import GaussRat, ONE, ZERO, format_scalar
+from logres.germs import RF_ONE, RF_ZERO, RatFunc, rf_solve
+from logres.lattice import rational_kernel
 from logres.linalg import (Matrix, eigen_decompose, gaussian_rational_roots,
                            matrix_eigenvalues, matrix_rank, reassemble)
+from logres.monoids import _coords_in_basis
 from logres.textio import parse_scalar_text
 
 from oracles import faddeev_leverrier_charpoly, minor_rank, naive_matmul
@@ -232,3 +235,105 @@ def test_kron_and_direct_sum_shapes():
     s = a.direct_sum(b)
     assert (s.rows, s.cols) == (4, 4)
     assert s.entries[2][2] == GaussRat(0)
+
+
+# -- the Gauss-Jordan kernel over Q(i), Q and Q(i)(t) -------------------------
+
+def _low_rank_rows(r, rows, cols, entry):
+    """A rows x cols matrix (row lists) of rank at most a random k, as a
+    product of random rows x k and k x cols factors."""
+    k = r.randint(0, min(rows, cols))
+    left = [[entry() for _ in range(k)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(k)]
+    return [[sum(left[i][l] * right[l][j] for l in range(k))
+             for j in range(cols)] for i in range(rows)]
+
+
+def _shapes(r, count):
+    return [(r.randint(1, 4), r.randint(1, 5)) for _ in range(count)]
+
+
+def test_kernel_rank_matches_minor_oracle_over_gaussian_rationals():
+    r = rng(7305)
+    for rows, cols in _shapes(r, 30):
+        m = Matrix(_low_rank_rows(r, rows, cols,
+                                  lambda: random_scalar(r, denom_max=3,
+                                                        num_max=3,
+                                                        imaginary_prob=0.5)))
+        ker = m.kernel_basis()
+        rank = minor_rank(m)
+        assert len(ker) + rank == cols
+        assert m.rank() == rank
+        for v in ker:
+            assert all((m * Matrix.from_columns([v])).entries[i][0] == ZERO
+                       for i in range(rows))
+
+
+def test_kernel_rank_matches_minor_oracle_over_rationals():
+    r = rng(7306)
+    for rows, cols in _shapes(r, 30):
+        a = _low_rank_rows(r, rows, cols,
+                           lambda: F(r.randint(-3, 3), r.randint(1, 3)))
+        ker = rational_kernel(a)
+        assert len(ker) + minor_rank(Matrix(a)) == cols
+        for v in ker:
+            assert all(type(x) is F for x in v)
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+
+
+def test_solve_zero_free_variables_and_inconsistency():
+    r = rng(7307)
+    for rows, cols in _shapes(r, 20):
+        a = Matrix(_low_rank_rows(r, rows, cols,
+                                  lambda: random_scalar(r, denom_max=3,
+                                                        num_max=3)))
+        x0 = [random_scalar(r) for _ in range(cols)]
+        b = (a * Matrix.from_columns([x0])).column(0)
+        sol = a.solve([b])[0]
+        assert (a * Matrix.from_columns([sol])).column(0) == b
+        pivots = a.rref()[1]
+        assert all(sol[c] == ZERO for c in range(cols) if c not in pivots)
+    # the last row is the sum of the others, the right-hand side is not
+    a = Matrix([[1, 2, 3], [0, 1, 1], [1, 3, 4]])
+    assert a.solve([(1, 1, 3)]) is None
+    assert a.solve([(1, 1, 2)]) == [(GaussRat(-1), GaussRat(1), ZERO)]
+
+
+def test_inverse_round_trip():
+    r = rng(7308)
+    for n in range(1, 6):
+        m = Matrix([[random_scalar(r, imaginary_prob=0.5) for _ in range(n)]
+                    for _ in range(n)])
+        if minor_rank(m) < n:
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+            continue
+        assert m * m.inverse() == Matrix.identity(n)
+
+
+def test_rf_solve_singular_consistent_is_none():
+    f = RatFunc((ONE, ONE))                    # 1 + t
+    g = RatFunc((ONE,), (ZERO, ONE))           # 1 / t
+    two = RatFunc.const(2)
+    singular = ((f, g), (two * f, two * g))
+    # x = (1, 0) solves it, yet a singular matrix gives None
+    assert rf_solve(singular, [(f, two * f)]) is None
+    regular = ((f, g), (RF_ZERO, g))
+    sol = rf_solve(regular, [(f + g, g)])
+    assert sol == [(RF_ONE, RF_ONE)]
+
+
+def test_coords_in_basis_integrality():
+    basis = [[2, 0, 0], [1, 3, 0]]
+    assert _coords_in_basis(basis, (5, 3, 0)) == [2, 1]
+    assert _coords_in_basis(basis, (1, 0, 0)) is None    # (1/2, 0): not in P^gp
+    assert _coords_in_basis(basis, (0, 0, 1)) is None    # outside Q (x) P^gp
+    assert _coords_in_basis([], (0, 0)) == []
+    assert _coords_in_basis([], (0, 1)) is None
+
+
+def test_truthiness_of_field_elements():
+    assert not ZERO and not GaussRat(F(0), F(0))
+    assert ONE and GaussRat(0, 1) and GaussRat(F(-1, 2))
+    assert not RF_ZERO and not RatFunc((ZERO, ZERO))
+    assert RF_ONE and RatFunc.t_power(-1) and RatFunc((ZERO, ONE))

@@ -200,7 +200,16 @@ def test_cli_domain_error_exit_2(tmp_path):
      "ideal K in P (line 2): dimension mismatch"),
     ("monoid P = [[1,0],[0,1]]\nideal K in P = [[-1,0]]\n",
      "ideal K in P (line 2): ideal generator (-1, 0) is not in the monoid"),
-], ids=["mixed-dimension", "zero-monoid", "ideal-dimension", "ideal-outside"])
+    ("germ g = [[1, 2], [3]]\n",
+     "germ g (line 1): theta matrix must be square"),
+    ("monoid N = [[1]]\nideal K0 in N = []\n"
+     "connection C on (N, K0) { U1 = [[1,2]] }\n",
+     "connection C (line 3): connection matrices must be square, equal size"),
+    ("monoid N = [[1]]\nideal K0 in N = []\n"
+     "connection C on (N, K0) { U1 = [[1/0]] }\n",
+     "connection C (line 3): division by zero in Q(i)"),
+], ids=["mixed-dimension", "zero-monoid", "ideal-dimension", "ideal-outside",
+        "germ-not-square", "connection-not-square", "connection-zero-division"])
 def test_cli_invalid_declaration_exit_2(tmp_path, text, diagnostic):
     p = tmp_path / "invalid.txt"
     p.write_text(text)
@@ -210,6 +219,14 @@ def test_cli_invalid_declaration_exit_2(tmp_path, text, diagnostic):
     out = json.loads(r.stdout)
     assert out["result"] is None
     assert out["diagnostics"] == ["InvalidDeclaration: " + diagnostic]
+
+
+def test_lobject_nilpotent_block_shape_is_parse_error():
+    with pytest.raises(ParseError, match="nilpotent block size"):
+        parse_document("monoid N = [[1]]\nideal KH in N = [[1]]\n"
+                       "lobject V over (N, KH) { gen g1: deg=[0]; "
+                       "gen g2: deg=[0]; gamma1: label=0 "
+                       "nilpotent=[[0],[0]] }\n")
 
 
 def test_lobject_json_round_trip():
