@@ -18,7 +18,7 @@ from .cohomology import (KoszulInput, comparison_report, koszul_cohomology,
 from .errors import LogresError, ParseError
 from .field import format_scalar
 from .germs import germ_tensor, is_fuchsian, pullback_germ
-from .monoids import classify_model, faces, radical
+from .monoids import classify_model, covering_pairs, faces, radical
 from .rh import from_lobject, higgs_conditions, higgs_decompose, to_lobject
 from .strata import strata_decomposition
 from .textio import (_fmt_mp_matrix, _fmt_ratfunc, parse_document,
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
     for a in argv:
         if a == "--dot":
             flags["dot"] = True
-        elif a.startswith("--tau-window=") or a.startswith("--tau="):
+        elif a.startswith("--tau-window="):
             flags["tau"] = a.split("=", 1)[1]
         elif a.startswith("--bound="):
             value = a.split("=", 1)[1]
@@ -238,14 +238,8 @@ def _strata_dot(sd):
     for i, s in enumerate(sd):
         lines.append('  s%d [label="F=%s (%d,%d)"];' % (
             i, sorted(s.face.generator_indices), s.torus_rank, s.log_rank))
-    for i, a in enumerate(sd):
-        for j, b in enumerate(sd):
-            if i == j:
-                continue
-            if a.face.generator_indices < b.face.generator_indices and not any(
-                    a.face.generator_indices < c.face.generator_indices
-                    < b.face.generator_indices for c in sd):
-                lines.append("  s%d -> s%d;" % (i, j))
+    for i, j in covering_pairs([s.face.generator_indices for s in sd]):
+        lines.append("  s%d -> s%d;" % (i, j))
     lines.append("}")
     return "\n".join(lines)
 
@@ -386,7 +380,8 @@ def _cmd_locsys_roundtrip(doc, args, flags):
 
 
 def _cmd_print(doc, args, flags):
-    return {"text": print_document(doc)}, [], print_document(doc)
+    text = print_document(doc)
+    return {"text": text}, [], text
 
 
 _COMMANDS = {

@@ -5,12 +5,17 @@ Entries live in C[P]/(K): finite sums of (scalar, monomial) terms with the
 monomial in P minus K; terms landing in K are reduced away.  Flatness is
 the exact vanishing of d(omega) + omega wedge omega in the free exterior
 square, using d(x^p (x) q) = x^p (x) p wedge q.
+
+The library's MonPoly matrix algebra lives here: `_curvature` is the one
+matrix product and commutator (flatness here, the Higgs conditions in
+rh), and `combine` the one linear combination of connection matrices
+(the splitting pullbacks in strata).
 """
 
 from __future__ import annotations
 
 from .errors import ModelMismatch, NonConstant
-from .field import GaussRat, ZERO, as_scalar
+from .field import ZERO, as_scalar
 from .linalg import Matrix
 from .monoids import AffineMonoid, MonoidIdeal
 
@@ -82,10 +87,6 @@ class MonPoly:
     def scale(self, c):
         c = as_scalar(c)
         return MonPoly([(e, x * c) for e, x in self.terms])
-
-    def weight(self, k):
-        """Multiply each term by the k-th exponent (the d(x^p) = x^p (x) p rule)."""
-        return MonPoly([(e, c * GaussRat(e[k])) for e, c in self.terms])
 
     def map_exponents(self, fn):
         return MonPoly([(tuple(fn(e)), c) for e, c in self.terms])
@@ -239,35 +240,68 @@ def _as_monpoly(x, dim):
     return MonPoly.constant(x, dim)
 
 
-def _mpm_mul(a, b):
+def combine(mats, coeffs):
+    """sum_m coeffs[m] * mats[m] for square MonPoly matrices of one size,
+    built as one MonPoly per entry; zero coefficients are skipped."""
+    terms = [(mat, c) for mat, c in zip(mats, coeffs) if c]
+    n = len(mats[0])
+    return [[MonPoly([(e, x * c) for mat, c in terms
+                      for e, x in mat[i][j].terms])
+             for j in range(n)] for i in range(n)]
+
+
+def _curvature(a, k, b, l):
+    """W_k(b) - W_l(a) + ab - ba for square MonPoly matrices a, b of one size.
+
+    W_k multiplies each term by its k-th exponent (the d(x^p) = x^p (x) p
+    rule); W_None is zero.  Returns an n x n grid of {exponent: coefficient}
+    dicts without zero coefficients.  Every product term goes straight into
+    its cell's dict, so no MonPoly is built for a partial sum.
+    """
     n = len(a)
-    return [[_mp_sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+    grid = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = {}
+            for e, c in _curvature_terms(a, k, b, l, i, j):
+                acc[e] = acc[e] + c if e in acc else c
+            row.append({e: c for e, c in acc.items() if c})
+        grid.append(row)
+    return grid
 
 
-def _mp_sum(items):
-    out = MonPoly()
-    for x in items:
-        out = out + x
-    return out
+def _curvature_terms(a, k, b, l, i, j):
+    if k is not None:
+        for e, c in b[i][j].terms:
+            if e[k]:
+                yield e, c * e[k]
+    if l is not None:
+        for e, c in a[i][j].terms:
+            if e[l]:
+                yield e, c * -e[l]
+    for x, y, negate in ((a, b, False), (b, a, True)):
+        for m in range(len(a)):
+            for e1, c1 in x[i][m].terms:
+                if negate:
+                    c1 = -c1
+                for e2, c2 in y[m][j].terms:
+                    yield tuple(p + q for p, q in zip(e1, e2)), c1 * c2
 
 
 def is_flat(conn: LogConnection) -> bool:
-    """Exact integrability: d(omega) + omega wedge omega = 0 in E (x) Omega^2."""
-    s = conn.differentials.rank
-    om = [[list(row) for row in conn.omega[k]] for k in range(s)]
-    n = conn.rank
+    """Exact integrability: d(omega) + omega wedge omega = 0 in E (x) Omega^2.
+
+    The coefficient of dlog_k wedge dlog_l is W_k(A_l) - W_l(A_k) + [A_k, A_l];
+    only its nonzero cells are reduced modulo K.
+    """
+    om = conn.omega
     red = conn.differentials.reduce
+    s = conn.differentials.rank
     for k in range(s):
         for l in range(k + 1, s):
-            # coefficient of dlog_k wedge dlog_l:
-            #   W_k(A_l) - W_l(A_k) + [A_k, A_l]
-            comm = _mpm_mul(om[k], om[l])
-            comm2 = _mpm_mul(om[l], om[k])
-            for i in range(n):
-                for j in range(n):
-                    val = (om[l][i][j].weight(k) - om[k][i][j].weight(l)
-                           + comm[i][j] - comm2[i][j])
-                    if not red(val).is_zero():
+            for row in _curvature(om[k], k, om[l], l):
+                for cell in row:
+                    if cell and not red(MonPoly(cell)).is_zero():
                         return False
     return True

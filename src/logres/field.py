@@ -37,9 +37,6 @@ class GaussRat:
     def is_integer(self):
         return self.im == 0 and self.re.denominator == 1
 
-    def is_gaussian_integer(self):
-        return self.re.denominator == 1 and self.im.denominator == 1
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
@@ -162,10 +159,3 @@ def format_scalar(s: GaussRat) -> str:
         return imag if s.im > 0 else "-" + imag
     sign = "+" if s.im > 0 else "-"
     return frac(s.re) + sign + imag
-
-
-def parse_scalar(text: str) -> GaussRat:
-    """Parse the canonical scalar format (inverse of format_scalar)."""
-    from .textio import parse_scalar_text
-
-    return parse_scalar_text(text)

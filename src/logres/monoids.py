@@ -264,14 +264,8 @@ class AffineMonoid:
         lines = ["digraph faces {"]
         for i, f in enumerate(fs):
             lines.append('  f%d [label="%s"];' % (i, f.label()))
-        for i, f in enumerate(fs):
-            for j, g in enumerate(fs):
-                if i == j or not f.generator_indices < g.generator_indices:
-                    continue
-                if any(f.generator_indices < h.generator_indices <
-                       g.generator_indices for h in fs):
-                    continue
-                lines.append("  f%d -> f%d;" % (i, j))
+        for i, j in covering_pairs([f.generator_indices for f in fs]):
+            lines.append("  f%d -> f%d;" % (i, j))
         lines.append("}")
         return "\n".join(lines)
 
@@ -373,6 +367,15 @@ class ModelClass:
         return (isinstance(other, ModelClass)
                 and self.locally_constant == other.locally_constant
                 and self.hollow == other.hollow)
+
+
+def covering_pairs(sets):
+    """The pairs (i, j), in row-major order, with sets[i] a proper subset
+    of sets[j] and no sets[k] strictly between: the Hasse-diagram edges."""
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            if a < b and not any(a < c < b for c in sets):
+                yield i, j
 
 
 def faces(P: AffineMonoid):

@@ -10,7 +10,7 @@ The round-trip tests pin this convention down globally.
 
 from __future__ import annotations
 
-from .connections import LogConnection, MonPoly, is_flat
+from .connections import LogConnection, MonPoly, _curvature, is_flat
 from .errors import ConditionsFailed, InvalidObject, ModelMismatch, NotFlat
 from .linalg import Matrix, eigen_decompose
 from .lobjects import LObject, check_axioms
@@ -40,49 +40,21 @@ def higgs_conditions(conn: LogConnection, eps: Splitting):
     """The three integrability conditions of the Higgs decomposition.
 
     Returns (i, ii, iii): base connection integrable; residues pairwise
-    commuting; residues horizontal for the base connection.
+    commuting; residues horizontal for the base connection.  (ii) and (iii)
+    are the (sharp, sharp) and (torus, sharp) blocks of the curvature, with
+    the sharp weights zero; (i) is its (torus, torus) block.
     """
     hs = eps.structure
     if conn.monoid != hs.monoid or conn.ideal != hs.ideal:
         raise ModelMismatch("connection and splitting live on different models")
     base = eps_pullback(conn, eps, require_flat=False)
     rhos = residue_components(conn, hs)
-    n = conn.rank
     cond1 = is_flat(base)
-    cond2 = True
-    for a in range(len(rhos)):
-        for b in range(a + 1, len(rhos)):
-            if not _mpm_is_zero(_mpm_comm(rhos[a], rhos[b], n)):
-                cond2 = False
-    cond3 = True
-    for j, rho in enumerate(rhos):
-        for i in range(hs.torus_rank):
-            v = base.omega[i]
-            for p in range(n):
-                for q in range(n):
-                    val = rho[p][q].weight(i)
-                    for r in range(n):
-                        val = val + v[p][r] * rho[r][q] - rho[p][r] * v[r][q]
-                    if not val.is_zero():
-                        cond3 = False
+    cond2 = not any(any(map(any, _curvature(ra, None, rb, None)))
+                    for a, ra in enumerate(rhos) for rb in rhos[a + 1:])
+    cond3 = not any(any(map(any, _curvature(base.omega[i], i, rho, None)))
+                    for rho in rhos for i in range(hs.torus_rank))
     return cond1, cond2, cond3, base, rhos
-
-
-def _mpm_comm(a, b, n):
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = MonPoly()
-            for k in range(n):
-                val = val + a[i][k] * b[k][j] - b[i][k] * a[k][j]
-            row.append(val)
-        out.append(row)
-    return out
-
-
-def _mpm_is_zero(m):
-    return all(x.is_zero() for row in m for x in row)
 
 
 def higgs_decompose(conn: LogConnection, eps: Splitting) -> HiggsData:

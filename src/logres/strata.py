@@ -15,7 +15,8 @@ splitting datum.
 
 from __future__ import annotations
 
-from .connections import LogConnection, LogDifferentials, MonPoly
+from .connections import (LogConnection, LogDifferentials, MonPoly, combine,
+                          is_flat)
 from .errors import ModelMismatch, NotFlat, NotHollow
 from .field import ONE, as_scalar
 from .lattice import hnf_rows, identity_int, snf
@@ -217,23 +218,8 @@ def pullback_to_cover(conn: LogConnection, cover_diff: LogDifferentials,
 
 def _adapted_components(conn: LogConnection, hs: HollowStructure):
     """Unit-direction and sharp-direction component matrices of omega."""
-    d = hs.dim
-    n = conn.rank
-    zero = MonPoly()
-    comps = []
-    for l in range(d):
-        mat = [[zero] * n for _ in range(n)]
-        for m in range(d):
-            c = hs.U[l][m]
-            if c == 0:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    mat[i][j] = mat[i][j] + conn.omega[m][i][j].scale(c)
-        comps.append(mat)
-    torus = comps[: hs.torus_rank]
-    sharp = comps[hs.torus_rank:]
-    return torus, sharp
+    comps = [combine(conn.omega, row) for row in hs.U]
+    return comps[: hs.torus_rank], comps[hs.torus_rank:]
 
 
 def eps_pullback(conn: LogConnection, eps: Splitting, require_flat=True,
@@ -247,23 +233,12 @@ def eps_pullback(conn: LogConnection, eps: Splitting, require_flat=True,
     hs = eps.structure
     if conn.monoid != hs.monoid or conn.ideal != hs.ideal:
         raise ModelMismatch("connection and splitting live on different models")
-    from .connections import is_flat as _flat
-
-    if require_flat and not _flat(conn):
+    if require_flat and not is_flat(conn):
         raise NotFlat("pullback requires an integrable connection")
     torus, sharp = _adapted_components(conn, hs)
-    n = conn.rank
-    vmats = []
-    for i in range(hs.torus_rank):
-        mat = [list(row) for row in torus[i]]
-        for j in range(hs.sharp_rank):
-            c = eps.monomial_part[j][i]
-            if c == 0:
-                continue
-            for a in range(n):
-                for b in range(n):
-                    mat[a][b] = mat[a][b] + sharp[j][a][b].scale(c)
-        vmats.append(mat)
+    vmats = [combine([torus[i]] + sharp,
+                     [1] + [row[i] for row in eps.monomial_part])
+             for i in range(hs.torus_rank)]
     # re-express unit monomials in torus coordinates
     tdiff = hs.torus_differentials(bound=bound)
     recoord = [[[x.map_exponents(hs.unit_coords) for x in row] for row in mat]
@@ -297,16 +272,8 @@ def splitting_delta(eps0: Splitting, eps1: Splitting, conn: LogConnection,
     p0 = eps_pullback(conn, eps0, bound=bound)
     p1 = eps_pullback(conn, eps1, bound=bound)
     rhos = residue_components(conn, hs)
-    n = conn.rank
-    ok = True
-    for i in range(hs.torus_rank):
-        for a in range(n):
-            for b in range(n):
-                lhs = p0.omega[i][a][b] - p1.omega[i][a][b]
-                rhs = MonPoly()
-                for j in range(hs.sharp_rank):
-                    if delta[j][i]:
-                        rhs = rhs + rhos[j][a][b].scale(delta[j][i])
-                if not (lhs - rhs).is_zero():
-                    ok = False
+    ok = all(x.is_zero() for i in range(hs.torus_rank)
+             for row in combine([p0.omega[i], p1.omega[i]] + rhos,
+                                [1, -1] + [-d[i] for d in delta])
+             for x in row)
     return delta, ok

@@ -22,9 +22,6 @@ from .lobjects import LObject
 from .monoids import AffineMonoid, MonoidIdeal
 from .strata import HollowStructure, Splitting
 
-_PUNCT = ("->", "[", "]", "{", "}", "(", ")", ",", ";", ":", "=", "/", "^",
-          "*", "+", "-", ".")
-
 
 class _Token:
     __slots__ = ("kind", "text", "line", "col")
@@ -185,9 +182,7 @@ class _Parser:
         return val
 
     def _divide(self, a, b, mode):
-        if mode == "germ":
-            return a / b
-        if mode == "scalar":
+        if mode != "ring":
             return a / b
         # ring mode: division only by constants
         if not b.is_constant():
@@ -203,9 +198,7 @@ class _Parser:
             neg = bool(self.accept("-"))
             e = int(self.expect("INT", "an exponent").text)
             e = -e if neg else e
-            if mode == "germ":
-                return val ** e
-            if mode == "scalar":
+            if mode != "ring":
                 return val ** e
             if e < 0:
                 self.fail("negative power in a ring entry")

@@ -3,11 +3,13 @@
 Each oracle recomputes a quantity by a different route than the library:
 brute-force box scans for monoid combinatorics, a valuation-tracked
 lattice saturation for the Fuchs test, kernel/image ranks on an
-independently assembled Koszul complex, and GaussRat-at-a-time products
+independently assembled Koszul complex, GaussRat-at-a-time products
 and Faddeev-LeVerrier characteristic polynomials for the integer kernels
-of logres.linalg.
+of logres.linalg, and whole-MonPoly matrix arithmetic for the curvature
+and the splitting pullbacks of logres.connections.
 """
 
+from logres.connections import LogConnection, MonPoly
 from logres.field import GaussRat, ZERO, ONE
 from logres.germs import pval
 from logres.linalg import Matrix
@@ -379,3 +381,86 @@ def koszul_dims_kernel_image(mats, n):
         dims.append(ker - prev_rank)
         prev_rank = rank
     return dims
+
+
+# -- connection oracles ---------------------------------------------------------
+
+def _mp_weight(x, k):
+    return MonPoly([(e, c * GaussRat(e[k])) for e, c in x.terms])
+
+
+def _mpm_mul(a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            s = MonPoly()
+            for m in range(n):
+                s = s + a[i][m] * b[m][j]
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def mpm_curvature(a, k, b, l):
+    """W_k(b) - W_l(a) + ab - ba as a MonPoly matrix, one MonPoly partial
+    sum at a time; W_k weights each term by its k-th exponent, W_None = 0."""
+    ab, ba = _mpm_mul(a, b), _mpm_mul(b, a)
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(a)):
+            val = ab[i][j] - ba[i][j]
+            if k is not None:
+                val = val + _mp_weight(b[i][j], k)
+            if l is not None:
+                val = val - _mp_weight(a[i][j], l)
+            row.append(val)
+        out.append(row)
+    return out
+
+
+def mpm_is_flat(conn):
+    """Flatness: every dlog_k wedge dlog_l curvature entry vanishes mod K."""
+    s = conn.differentials.rank
+    red = conn.differentials.reduce
+    return all(red(x).is_zero() for k in range(s) for l in range(k + 1, s)
+               for row in mpm_curvature(conn.omega[k], k, conn.omega[l], l)
+               for x in row)
+
+
+def mpm_higgs_conditions(conn, eps):
+    """(i, ii, iii, base, residues) as logres.rh.higgs_conditions returns
+    them, with the adapted components and the splitting pullback summed
+    entry by entry."""
+    hs = eps.structure
+    n = conn.rank
+
+    def lin(mats, coeffs):
+        out = [[MonPoly() for _ in range(n)] for _ in range(n)]
+        for mat, c in zip(mats, coeffs):
+            for i in range(n):
+                for j in range(n):
+                    out[i][j] = out[i][j] + mat[i][j].scale(c)
+        return out
+
+    def in_torus(mat):
+        return [[x.map_exponents(hs.unit_coords) for x in row] for row in mat]
+
+    comps = [lin(conn.omega, row) for row in hs.U]
+    torus, sharp = comps[:hs.torus_rank], comps[hs.torus_rank:]
+    base = LogConnection(hs.torus_differentials(), [
+        in_torus(lin([torus[i]] + sharp,
+                     [1] + [row[i] for row in eps.monomial_part]))
+        for i in range(hs.torus_rank)], rank=n)
+    rhos = [in_torus(mat) for mat in sharp]
+
+    def zero(mat):
+        return all(x.is_zero() for row in mat for x in row)
+
+    cond2 = all(zero(mpm_curvature(ra, None, rb, None))
+                for a, ra in enumerate(rhos) for rb in rhos[a + 1:])
+    cond3 = all(zero(mpm_curvature(base.omega[i], i, rho, None))
+                for rho in rhos for i in range(hs.torus_rank))
+    return mpm_is_flat(base), cond2, cond3, base, rhos

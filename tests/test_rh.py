@@ -5,7 +5,8 @@ import pytest
 from logres.connections import LogConnection, LogDifferentials, MonPoly, is_flat
 from logres.corpus import (free_model, mixed_hollow_model,
                            random_constant_flat_connection,
-                           random_monomial_connection, random_splitting, rng)
+                           random_monomial_connection, random_scalar,
+                           random_splitting, rng)
 from logres.errors import (ConditionsFailed, InvalidObject, NonConstant,
                            NotFlat)
 from logres.field import GaussRat
@@ -15,6 +16,8 @@ from logres.monoids import AffineMonoid, MonoidIdeal
 from logres.rh import from_lobject, higgs_conditions, higgs_decompose, to_lobject
 from logres.strata import HollowStructure, Splitting, splitting_cover, \
     pullback_to_cover
+
+from oracles import mpm_higgs_conditions, mpm_is_flat
 
 N = AffineMonoid([(1,)])
 K0 = MonoidIdeal(N, [])
@@ -192,6 +195,67 @@ def test_higgs_succeeds_iff_flat_seeded():
         except ConditionsFailed:
             succeeded = False
         assert succeeded == expected, trial
+
+
+def _twisted(P, K, mu, c, shift):
+    """A_k = diag(0, mu_k + shift_k) + c_k x^mu E_12.  With shift = 0 this is
+    the gauge transform of a constant connection by diag(1, x^mu), flat
+    because each commutator cancels a weight term; a shift breaks that."""
+    d = P.ambient_rank
+    return LogConnection(LogDifferentials(P, K), [
+        [[MonPoly(), MonPoly.monomial(mu, c[k])],
+         [MonPoly(), MonPoly.constant(mu[k] + shift[k], d)]]
+        for k in range(d)])
+
+
+def test_flatness_and_higgs_conditions_match_oracle():
+    # is_flat and the three Higgs conditions against whole-MonPoly matrix
+    # arithmetic, on monomial and gauge-twisted connections of mixed hollow
+    # models and on (non-)commuting constant connections of N^2 and N^3
+    # pulled back to their splitting covers
+    r = rng(35)
+    cases = []
+    for trial in range(16):
+        sharp, torus = r.randint(1, 2), r.randint(1, 2)
+        P, K = mixed_hollow_model(sharp, torus)
+        hs = HollowStructure(P, K)
+        flat = bool(trial % 2)
+        if trial % 4 < 2:
+            conn = random_monomial_connection(r, P, K, hs,
+                                              rank=r.randint(1, 3), flat=flat)
+        else:
+            mu = (0,) * sharp + tuple(r.choice((-2, -1, 1, 2))
+                                      for _ in range(torus))
+            shift = [0 if flat else r.randint(-2, 2) for _ in mu]
+            conn = _twisted(P, K, mu, [r.randint(-2, 2) for _ in mu], shift)
+        assert is_flat(conn) or not flat
+        cases.append((conn, random_splitting(r, hs)))
+    for d in (2, 3):
+        P, K = free_model(d)
+        Ph, Kh = free_model(d, hollow=True)
+        Q, KQ, hs, univ, obv = splitting_cover(Ph)
+        for trial in range(4):
+            if trial % 2:
+                conn, _ = random_constant_flat_connection(r, P, K, rank_max=3)
+            else:
+                n = r.randint(2, 3)
+                conn = LogConnection.constant(LogDifferentials(P, K), [
+                    [[random_scalar(r, 3, 3) for _ in range(n)]
+                     for _ in range(n)] for _ in range(d)])
+            assert is_flat(conn) == mpm_is_flat(conn)
+            point = LogConnection(LogDifferentials(Ph, Kh), conn.omega)
+            cover = pullback_to_cover(point, LogDifferentials(Q, KQ), hs)
+            cases += [(cover, univ), (cover, obv)]
+    seen = set()
+    for conn, eps in cases:
+        got = higgs_conditions(conn, eps)
+        want = mpm_higgs_conditions(conn, eps)
+        assert got[:3] == want[:3]
+        assert got[3] == want[3] and got[4] == want[4]
+        assert is_flat(conn) == mpm_is_flat(conn)
+        seen.add((is_flat(conn),) + got[:3])
+    for flag in range(4):
+        assert {s[flag] for s in seen} == {True, False}, (flag, seen)
 
 
 def test_higgs_base_agrees_with_eps_pullback():

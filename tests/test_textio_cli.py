@@ -157,6 +157,17 @@ def test_cli_bound_flag_accepted():
     assert json.loads(r.stdout)["diagnostics"] == []
 
 
+def test_cli_tau_window_flag_has_no_short_alias():
+    args = ["canext", "extend", demo_path("canext.txt"), "V", "E"]
+    r = run_cli(args + ["--tau=(-1,0]"])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("unknown flag --tau=(-1,0]\n")
+    r = run_cli(args + ["--tau-window=(-1,0]"])
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["diagnostics"] == []
+
+
 def test_cli_reports_byte_stable(sample_path):
     a = run_cli(["rh", "to-lobject", sample_path, "C"])
     b = run_cli(["rh", "to-lobject", sample_path, "C"])
