@@ -22,8 +22,8 @@ from .field import GaussRat, format_scalar
 from .germs import (DiffModuleGerm, GermMap, RatFunc, gauge_transform,
                     germ_direct_sum, germ_dual, germ_tensor, is_fuchsian,
                     pullback_germ, scalar_theta_form)
-from .linalg import (EigenBlock, Matrix, eigen_decompose, matrix_rank,
-                     reassemble)
+from .linalg import (EigenBlock, Matrix, eigen_decompose, integer_eigenspaces,
+                     matrix_rank, reassemble)
 from .lobjects import (GradedPiece, LObject, ValidationReport, check_axioms,
                        graded_piece, tensor)
 from .monoids import (AffineMonoid, Face, ModelClass, MonoidIdeal,

@@ -1,6 +1,6 @@
 """Koszul-complex engines for commuting operator families, de Rham
-cohomology of hollow constant connections by character decomposition, the
-correspondence with representations of Z^r, and the three-sided
+cohomology of hollow constant connections per integer joint eigenspace,
+the correspondence with representations of Z^r, and the three-sided
 comparison report.
 
 Group cohomology of Z^r acting through operators stored in log
@@ -13,12 +13,29 @@ commuting unit and so preserves all dimensions.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import NonCommuting, NonConstant, NotFlat, NotNcType
-from .field import GaussRat, ZERO, as_scalar
-from .linalg import Matrix, eigen_decompose, integer_eigenvalues
+from .field import ZERO, as_scalar
+from .linalg import Matrix, _restriction, eigen_decompose, integer_eigenspaces
 from .lobjects import LObject
+
+
+def _checked_blocks(blocks, count, message):
+    """(blocks, count, dimension) for (labels, nilpotents) blocks, made
+    into GaussRat labels and Matrix nilpotents; count None takes the first
+    block's number of labels.  ValueError(message) unless every block has
+    count labels and count nilpotents."""
+    out = []
+    for labels, nils in blocks:
+        labels = tuple(as_scalar(x) for x in labels)
+        nils = tuple(m if isinstance(m, Matrix) else Matrix(m) for m in nils)
+        if count is None:
+            count = len(labels)
+        if len(labels) != count or len(nils) != count:
+            raise ValueError(message)
+        out.append((labels, nils))
+    return tuple(out), count, sum(n[0].rows if n else 0 for _, n in out)
 
 
 class KoszulInput:
@@ -40,28 +57,17 @@ class KoszulInput:
                 if not m.is_square() or m.rows != self.dimension:
                     raise ValueError("operators must be square, equal size")
         else:
-            out = []
-            nops = num_operators
-            for labels, nils in blocks:
-                labels = tuple(as_scalar(x) for x in labels)
-                nils = tuple(m if isinstance(m, Matrix) else Matrix(m)
-                             for m in nils)
-                if nops is None:
-                    nops = len(labels)
-                if len(labels) != nops or len(nils) != nops:
-                    raise ValueError("each block needs one label and one "
-                                     "nilpotent per operator")
+            self.blocks, nops, self.dimension = _checked_blocks(
+                blocks, num_operators,
+                "each block needs one label and one nilpotent per operator")
+            for _, nils in self.blocks:
                 d = nils[0].rows if nils else 0
                 for m in nils:
                     if m.rows != d or m.cols != d:
                         raise ValueError("block nilpotents must share a size")
-                out.append((labels, nils))
             if nops is None:
                 raise ValueError("num_operators required for empty blocks")
-            self.blocks = tuple(out)
             self.num_operators = nops
-            self.dimension = sum(b[1][0].rows if b[1] else 0
-                                 for b in self.blocks)
 
     def check_commuting(self):
         if self.operators is not None:
@@ -149,15 +155,9 @@ class LocalSystem:
 
     def __init__(self, num_generators, blocks):
         self.num_generators = num_generators
-        out = []
-        for labels, nils in blocks:
-            labels = tuple(as_scalar(x) for x in labels)
-            nils = tuple(m if isinstance(m, Matrix) else Matrix(m) for m in nils)
-            if len(labels) != num_generators or len(nils) != num_generators:
-                raise ValueError("one label and one nilpotent per generator")
-            out.append((labels, nils))
-        self.blocks = tuple(out)
-        self.dimension = sum(b[1][0].rows if b[1] else 0 for b in self.blocks)
+        self.blocks, _, self.dimension = _checked_blocks(
+            blocks, num_generators,
+            "one label and one nilpotent per generator")
 
     def __eq__(self, other):
         return (isinstance(other, LocalSystem)
@@ -210,21 +210,11 @@ def build_lobject(W: LocalSystem, tau) -> LObject:
     r = W.num_generators
     P, K = log_point_model(r)
     degrees = []
-    size = 0
-    mats_blocks = [[] for _ in range(r)]
     for labels, nils in W.blocks:
-        d = nils[0].rows if nils else 0
-        deg = tuple(tau(x) for x in labels)
-        degrees.extend([deg] * d)
-        for k in range(r):
-            mats_blocks[k].append(nils[k])
-        size += d
-    mats = []
-    for k in range(r):
-        acc = None
-        for blk in mats_blocks[k]:
-            acc = blk if acc is None else acc.direct_sum(blk)
-        mats.append(acc if acc is not None else Matrix.zero(0))
+        degrees.extend([tuple(tau(x) for x in labels)]
+                       * (nils[0].rows if nils else 0))
+    mats = [Matrix.block_diag([nils[k] for _, nils in W.blocks])
+            for k in range(r)]
     return LObject(P, K, degrees, mats)
 
 
@@ -275,43 +265,43 @@ class CohomologyReport:
 
 def torus_de_rham(conn, eps):
     """Algebraic de Rham dimensions of a hollow constant flat connection,
-    by character-by-character Koszul complexes on the unit torus.
+    per integer joint eigenspace of the torus operators.
 
-    Only characters chi with -chi_j an integer eigenvalue of the torus
-    operator V_j for every j can contribute; all others are acyclic."""
+    The Koszul complex of commuting operators is exact on any invariant
+    summand where one of them is invertible, so only the joint generalized
+    eigenspaces on which every torus operator V_j has an integer
+    eigenvalue a_j contribute: each one the Koszul complex of the
+    V_j - a_j and the residues, restricted to it."""
     from .connections import is_flat
-    from .strata import eps_pullback, residue_components
+    from .strata import _pullbacks
 
     hs = eps.structure
     if not conn.is_constant():
         raise NonConstant("character decomposition needs constant coefficients")
     if not is_flat(conn):
         raise NotFlat("de Rham needs an integrable connection")
-    base = eps_pullback(conn, eps, require_flat=False)
-    vmats = base.constant_matrices()
-    rhos = residue_components(conn, hs)
+    (base,), rhos = _pullbacks(conn, hs, [eps])
     rho_mats = [Matrix([[x.constant_value() for x in row] for row in r])
                 for r in rhos]
-    t = hs.torus_rank
-    total = t + hs.sharp_rank
-    dims = [0] * (total + 1)
-    cand = []
-    for j in range(t):
-        cand.append(sorted({-a for a in integer_eigenvalues(vmats[j])}))
-    for chi in product(*cand) if t else [()]:
-        ops = [vmats[j] + Matrix.identity(conn.rank).scale(GaussRat(chi[j]))
-               for j in range(t)] + rho_mats
-        part = _koszul_dims_exact(ops, conn.rank)
+    if hs.torus_rank:
+        leaves = [(list(b.nilpotents)
+                   + [_restriction(rho, b.basis) for rho in rho_mats], b.dim)
+                  for b in integer_eigenspaces(base.constant_matrices())]
+    else:
+        leaves = [(rho_mats, conn.rank)]
+    dims = [0] * (hs.torus_rank + hs.sharp_rank + 1)
+    for ops, dim in leaves:
+        part = _koszul_dims_exact(ops, dim)
         dims = [a + b for a, b in zip(dims, part)]
     return dims
 
 
 def comparison_report(conn, eps, tau, bound=None) -> CohomologyReport:
     """The three-sided comparison on a hollow constant flat connection:
-    (i) algebraic de Rham by characters, (ii) group cohomology of the
-    zeroth graded piece, (iii) cohomology of the full underlined local
-    system.  (i) and (ii) agree unconditionally; (iii) joins them exactly
-    on tau-adapted objects when tau fixes 0."""
+    (i) algebraic de Rham per integer joint eigenspace, (ii) group
+    cohomology of the zeroth graded piece, (iii) cohomology of the full
+    underlined local system.  (i) and (ii) agree unconditionally; (iii)
+    joins them exactly on tau-adapted objects when tau fixes 0."""
     de_rham = torus_de_rham(conn, eps)
     mats = conn.constant_matrices()
     blocks = eigen_decompose(mats)

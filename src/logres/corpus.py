@@ -121,19 +121,9 @@ def random_lobject(r, monoid, ideal, rank_max=6, denom_max=6,
             raise RuntimeError("could not draw distinct degrees")
         degs.add(cand)
     degs = sorted(degs, key=lambda d: tuple(x.sort_key() for x in d))
-    degrees = []
-    mats_blocks = [[] for _ in range(s)]
-    for size, deg in zip(sizes, degs):
-        degrees.extend([deg] * size)
-        fam = _commuting_nilpotents(r, size, s)
-        for k in range(s):
-            mats_blocks[k].append(fam[k])
-    mats = []
-    for k in range(s):
-        acc = None
-        for blk in mats_blocks[k]:
-            acc = blk if acc is None else acc.direct_sum(blk)
-        mats.append(acc if acc is not None else Matrix.zero(0))
+    degrees = [deg for size, deg in zip(sizes, degs) for _ in range(size)]
+    fams = [_commuting_nilpotents(r, size, s) for size in sizes]
+    mats = [Matrix.block_diag([fam[k] for fam in fams]) for k in range(s)]
     V = LObject(monoid, ideal, degrees, mats)
     return V.canonical_sort()[0]
 

@@ -209,16 +209,21 @@ class Matrix:
                             for j in range(self.cols) for l in range(other.cols)])
         return Matrix(out)
 
-    def direct_sum(self, other):
-        n, m = self.rows + other.rows, self.cols + other.cols
-        out = [[ZERO] * m for _ in range(n)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i][j] = self.entries[i][j]
-        for i in range(other.rows):
-            for j in range(other.cols):
-                out[self.rows + i][self.cols + j] = other.entries[i][j]
+    @staticmethod
+    def block_diag(mats):
+        """The block-diagonal matrix with the blocks mats down its diagonal;
+        Matrix.zero(0) for no blocks."""
+        width = sum(m.cols for m in mats)
+        out = []
+        left = 0
+        for m in mats:
+            pad = (ZERO,) * (width - left - m.cols)
+            out.extend((ZERO,) * left + row + pad for row in m.entries)
+            left += m.cols
         return Matrix(out)
+
+    def direct_sum(self, other):
+        return Matrix.block_diag([self, other])
 
     def submatrix(self, row_idx, col_idx):
         return Matrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
@@ -528,6 +533,48 @@ def _mat_power(m: Matrix, k: int) -> Matrix:
     return out
 
 
+def _split(ops, keep) -> list:
+    """Joint generalized eigenspaces of commuting matrices, one operator at
+    a time, for the eigenvalues in keep(roots, fully_split) of each
+    restriction.  Blocks come back sorted by label.
+
+    Each block carries every operator restricted to it, in its basis, and
+    a subblock restricts those again, so the first split works on the ops
+    themselves and a block that one eigenvalue fills is kept as it is."""
+    blocks = [(tuple(), Matrix.identity(ops[0].rows), ops)]
+    for k in range(len(ops)):
+        refined = []
+        for label, basis, rests in blocks:
+            rest = rests[k]
+            roots, split = matrix_eigenvalues(rest)
+            for lam in sorted(keep(roots, split), key=GaussRat.sort_key):
+                mult = roots[lam]
+                if mult == rest.rows:
+                    refined.append((label + (lam,), basis, rests))
+                    continue
+                shifted = rest - Matrix.identity(rest.rows).scale(lam)
+                ker = _mat_power(shifted, mult).kernel_basis()
+                if len(ker) != mult:
+                    raise ArithmeticError("generalized eigenspace dimension mismatch")
+                sub = Matrix.from_columns(ker)
+                refined.append((label + (lam,), basis * sub,
+                                [_restriction(r, sub) for r in rests]))
+        blocks = refined
+    out = [EigenBlock(label, basis,
+                      [r - Matrix.identity(r.rows).scale(lam)
+                       for r, lam in zip(rests, label)])
+           for label, basis, rests in blocks]
+    out.sort(key=lambda b: tuple(x.sort_key() for x in b.label))
+    return out
+
+
+def _all_roots(roots, split):
+    if not split:
+        raise IrrationalEigenvalue(
+            "characteristic polynomial does not split over Q(i)")
+    return roots
+
+
 def eigen_decompose(ops) -> list:
     """Joint generalized-eigenspace decomposition of commuting matrices.
 
@@ -546,52 +593,29 @@ def eigen_decompose(ops) -> list:
         for b in range(a + 1, len(ops)):
             if not ops[a].commutes_with(ops[b]):
                 raise NonCommuting("operators %d and %d do not commute" % (a, b))
+    return _split(ops, _all_roots)
 
-    blocks = [(tuple(), Matrix.identity(n))]
-    for op in ops:
-        refined = []
-        for label, basis in blocks:
-            rest = _restriction(op, basis)
-            roots, split = matrix_eigenvalues(rest)
-            if not split:
-                raise IrrationalEigenvalue(
-                    "characteristic polynomial does not split over Q(i)")
-            for lam in sorted(roots, key=GaussRat.sort_key):
-                mult = roots[lam]
-                shifted = rest - Matrix.identity(rest.rows).scale(lam)
-                ker = _mat_power(shifted, mult).kernel_basis()
-                if len(ker) != mult:
-                    raise ArithmeticError("generalized eigenspace dimension mismatch")
-                sub = Matrix.from_columns(ker)
-                new_basis = basis * sub
-                refined.append((label + (lam,), new_basis))
-        blocks = refined
 
-    out = []
-    for label, basis in blocks:
-        nils = []
-        for k, op in enumerate(ops):
-            r = _restriction(op, basis)
-            nils.append(r - Matrix.identity(r.rows).scale(label[k]))
-        out.append(EigenBlock(label, basis, nils))
-    out.sort(key=lambda b: tuple(x.sort_key() for x in b.label))
-    return out
+def integer_eigenspaces(ops) -> list:
+    """The joint generalized eigenspaces of commuting square matrices of
+    equal size on which every operator has an integer eigenvalue, as
+    EigenBlocks sorted by label.
+
+    The rest of the space is dropped, so the spectrum need not split over
+    Q(i).  The caller vouches that the operators commute.
+    """
+    return _split(list(ops),
+                  lambda roots, split: [x for x in roots if x.is_integer()])
 
 
 def reassemble(blocks, k: int) -> Matrix:
     """Rebuild operator k from its blocks: P (diag of label*I + N) P^-1."""
     basis_cols = []
-    diag = None
     for b in blocks:
         for j in range(b.basis.cols):
             basis_cols.append(b.basis.column(j))
-        piece = b.nilpotents[k] + Matrix.identity(b.dim).scale(b.label[k])
-        diag = piece if diag is None else diag.direct_sum(piece)
+    diag = Matrix.block_diag(
+        [b.nilpotents[k] + Matrix.identity(b.dim).scale(b.label[k])
+         for b in blocks])
     p = Matrix.from_columns(basis_cols)
     return p * diag * p.inverse()
-
-
-def integer_eigenvalues(m: Matrix):
-    """The integer eigenvalues of m (as plain ints), from the root search."""
-    roots, _ = matrix_eigenvalues(m)
-    return sorted(int(x.re) for x in roots if x.is_integer())

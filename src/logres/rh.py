@@ -14,7 +14,7 @@ from .connections import LogConnection, MonPoly, _curvature, is_flat
 from .errors import ConditionsFailed, InvalidObject, ModelMismatch, NotFlat
 from .linalg import Matrix, eigen_decompose
 from .lobjects import LObject, check_axioms
-from .strata import Splitting, eps_pullback, residue_components
+from .strata import Splitting, _pullbacks
 
 
 class HiggsData:
@@ -45,10 +45,7 @@ def higgs_conditions(conn: LogConnection, eps: Splitting):
     the sharp weights zero; (i) is its (torus, torus) block.
     """
     hs = eps.structure
-    if conn.monoid != hs.monoid or conn.ideal != hs.ideal:
-        raise ModelMismatch("connection and splitting live on different models")
-    base = eps_pullback(conn, eps, require_flat=False)
-    rhos = residue_components(conn, hs)
+    (base,), rhos = _pullbacks(conn, hs, [eps])
     cond1 = is_flat(base)
     cond2 = not any(any(map(any, _curvature(ra, None, rb, None)))
                     for a, ra in enumerate(rhos) for rb in rhos[a + 1:])
@@ -84,18 +81,10 @@ def to_lobject(conn: LogConnection, bound=None) -> LObject:
         raise NotFlat("connection is not integrable")
     blocks = eigen_decompose(mats)   # IrrationalEigenvalue may propagate
     degrees = []
-    nilblocks = [[] for _ in mats]
     for b in blocks:
-        deg = tuple(-x for x in b.label)
-        degrees.extend([deg] * b.dim)
-        for k in range(len(mats)):
-            nilblocks[k].append(-b.nilpotents[k])
-    logmats = []
-    for k in range(len(mats)):
-        acc = None
-        for blk in nilblocks[k]:
-            acc = blk if acc is None else acc.direct_sum(blk)
-        logmats.append(acc if acc is not None else Matrix.zero(0))
+        degrees.extend([tuple(-x for x in b.label)] * b.dim)
+    logmats = [Matrix.block_diag([-b.nilpotents[k] for b in blocks])
+               for k in range(len(mats))]
     V = LObject(conn.monoid, conn.ideal, degrees, logmats, bound=bound)
     return V.canonical_sort()[0]
 

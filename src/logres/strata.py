@@ -103,7 +103,6 @@ class HollowStructure:
         return self.adapted(x)[self.torus_rank:]
 
     def torus_differentials(self, bound=None):
-        t = self.torus_rank
         return LogDifferentials(self.torus_monoid,
                                 MonoidIdeal(self.torus_monoid, ()), bound=bound)
 
@@ -222,6 +221,28 @@ def _adapted_components(conn: LogConnection, hs: HollowStructure):
     return comps[: hs.torus_rank], comps[hs.torus_rank:]
 
 
+def _pullbacks(conn: LogConnection, hs: HollowStructure, splittings,
+               require_flat=False, bound=None):
+    """The pullback of conn along each splitting, and the residues, all in
+    torus coordinates, from one set of adapted components."""
+    if conn.monoid != hs.monoid or conn.ideal != hs.ideal:
+        raise ModelMismatch("connection and splitting live on different models")
+    if require_flat and not is_flat(conn):
+        raise NotFlat("pullback requires an integrable connection")
+    torus, sharp = _adapted_components(conn, hs)
+
+    def in_torus(mat):
+        return [[x.map_exponents(hs.unit_coords) for x in row] for row in mat]
+
+    tdiff = hs.torus_differentials(bound=bound)
+    bases = [LogConnection(tdiff, [
+        in_torus(combine([torus[i]] + sharp,
+                         [1] + [row[i] for row in eps.monomial_part]))
+        for i in range(hs.torus_rank)], rank=conn.rank)
+        for eps in splittings]
+    return bases, [in_torus(mat) for mat in sharp]
+
+
 def eps_pullback(conn: LogConnection, eps: Splitting, require_flat=True,
                  bound=None) -> LogConnection:
     """Classical connection on the unit torus induced by a splitting.
@@ -230,28 +251,14 @@ def eps_pullback(conn: LogConnection, eps: Splitting, require_flat=True,
     splitting's torus character; satisfies the universal-splitting identity
     (the pullback of dlog(p) is dlog of p's own character).
     """
-    hs = eps.structure
-    if conn.monoid != hs.monoid or conn.ideal != hs.ideal:
-        raise ModelMismatch("connection and splitting live on different models")
-    if require_flat and not is_flat(conn):
-        raise NotFlat("pullback requires an integrable connection")
-    torus, sharp = _adapted_components(conn, hs)
-    vmats = [combine([torus[i]] + sharp,
-                     [1] + [row[i] for row in eps.monomial_part])
-             for i in range(hs.torus_rank)]
-    # re-express unit monomials in torus coordinates
-    tdiff = hs.torus_differentials(bound=bound)
-    recoord = [[[x.map_exponents(hs.unit_coords) for x in row] for row in mat]
-               for mat in vmats]
-    return LogConnection(tdiff, recoord, rank=conn.rank)
+    return _pullbacks(conn, eps.structure, [eps], require_flat,
+                      bound=bound)[0][0]
 
 
 def residue_components(conn: LogConnection, hs: HollowStructure):
     """The sharp-direction component matrices (the Higgs residues), in
     torus coordinates, one per sharp basis vector."""
-    _, sharp = _adapted_components(conn, hs)
-    return [[[x.map_exponents(hs.unit_coords) for x in row] for row in mat]
-            for mat in sharp]
+    return _pullbacks(conn, hs, ())[1]
 
 
 def splitting_delta(eps0: Splitting, eps1: Splitting, conn: LogConnection,
@@ -269,9 +276,7 @@ def splitting_delta(eps0: Splitting, eps1: Splitting, conn: LogConnection,
         raise ModelMismatch("splittings live on different models")
     delta = tuple(tuple(a - b for a, b in zip(r0, r1))
                   for r0, r1 in zip(eps0.monomial_part, eps1.monomial_part))
-    p0 = eps_pullback(conn, eps0, bound=bound)
-    p1 = eps_pullback(conn, eps1, bound=bound)
-    rhos = residue_components(conn, hs)
+    (p0, p1), rhos = _pullbacks(conn, hs, [eps0, eps1], True, bound=bound)
     ok = all(x.is_zero() for i in range(hs.torus_rank)
              for row in combine([p0.omega[i], p1.omega[i]] + rhos,
                                 [1, -1] + [-d[i] for d in delta])

@@ -5,9 +5,12 @@ brute-force box scans for monoid combinatorics, a valuation-tracked
 lattice saturation for the Fuchs test, kernel/image ranks on an
 independently assembled Koszul complex, GaussRat-at-a-time products
 and Faddeev-LeVerrier characteristic polynomials for the integer kernels
-of logres.linalg, and whole-MonPoly matrix arithmetic for the curvature
-and the splitting pullbacks of logres.connections.
+of logres.linalg, whole-MonPoly matrix arithmetic for the curvature
+and the splitting pullbacks of logres.connections, and de Rham
+cohomology as a sum over torus characters.
 """
+
+from itertools import product
 
 from logres.connections import LogConnection, MonPoly
 from logres.field import GaussRat, ZERO, ONE
@@ -464,3 +467,32 @@ def mpm_higgs_conditions(conn, eps):
     cond3 = all(zero(mpm_curvature(base.omega[i], i, rho, None))
                 for rho in rhos for i in range(hs.torus_rank))
     return mpm_is_flat(base), cond2, cond3, base, rhos
+
+
+def character_de_rham(conn, eps):
+    """De Rham dimensions of a hollow constant flat connection as a sum
+    over the characters chi of the unit torus: one full Koszul complex of
+    (V_j + chi_j, residues) for every chi with each -chi_j an integer
+    eigenvalue of V_j.  Those are found by testing V_j - a for
+    singularity at every integer a up to the largest absolute row sum."""
+    _, _, _, base, rhos = mpm_higgs_conditions(conn, eps)
+    n = conn.rank
+    ident = Matrix.identity(n)
+
+    def const(mat):
+        return Matrix([[x.constant_value() for x in row] for row in mat])
+
+    def integer_eigenvalues(v):
+        bound = int(max([sum(abs(x.re) + abs(x.im) for x in row)
+                         for row in v.entries] + [0]))
+        return [a for a in range(-bound, bound + 1)
+                if (v - ident.scale(a)).rank() < n]
+
+    vmats = [const(mat) for mat in base.omega]
+    ops_rho = [const(mat) for mat in rhos]
+    dims = [0] * (len(vmats) + len(ops_rho) + 1)
+    for chi in product(*[[-a for a in integer_eigenvalues(v)]
+                         for v in vmats]):
+        ops = [v + ident.scale(c) for v, c in zip(vmats, chi)] + ops_rho
+        dims = [a + b for a, b in zip(dims, koszul_dims_kernel_image(ops, n))]
+    return dims

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,13 +10,13 @@ from logres.cohomology import (KoszulInput, LocalSystem, comparison_report,
 from logres.connections import LogConnection, LogDifferentials
 from logres.corpus import (mixed_hollow_model, random_constant_flat_connection,
                            random_local_system, random_splitting, rng)
-from logres.errors import NonCommuting, NotNcType
+from logres.errors import IrrationalEigenvalue, NonCommuting, NotNcType
 from logres.field import GaussRat
-from logres.linalg import Matrix
+from logres.linalg import Matrix, eigen_decompose
 from logres.monoids import AffineMonoid, MonoidIdeal
 from logres.strata import HollowStructure, Splitting
 
-from oracles import koszul_dims_kernel_image
+from oracles import character_de_rham, koszul_dims_kernel_image
 
 tau = TauSection()
 
@@ -87,6 +88,110 @@ def test_torus_de_rham_log_point_is_residue_koszul():
     conn = LogConnection.constant(dN, [rho])
     dims = torus_de_rham(conn, eps)
     assert dims == koszul_cohomology(KoszulInput(operators=[rho]))
+
+
+def _from_components(P, K, hs, comps):
+    """The constant connection on the hollow model (P, K) whose adapted
+    components (torus directions first, then sharp) are the matrices
+    comps."""
+    d = hs.dim
+    omega = []
+    for k in range(d):
+        acc = Matrix.zero(comps[0].rows)
+        for j in range(d):
+            if hs.Uinv[k][j]:
+                acc = acc + comps[j].scale(hs.Uinv[k][j])
+        omega.append(acc)
+    return LogConnection.constant(LogDifferentials(P, K), omega)
+
+
+def _integer_spectrum_connection(r, P, K, hs, rank):
+    """A constant flat connection of the given rank whose torus
+    components have mostly integer eigenvalues and whose residues are
+    mostly nilpotent, conjugated by a random unimodular frame.
+
+    Per block, every adapted component is label * I plus a polynomial
+    without constant term in one shared Jordan block, so all commute."""
+    t, d = hs.torus_rank, hs.dim
+    labels, sizes = [], []
+    left = rank
+    while left:
+        size = r.randint(1, min(2, left))
+        left -= size
+        labels.append([(r.randint(-2, 2) if r.random() < 0.9
+                        else r.choice((F(1, 2), GaussRat(0, 1))))
+                       if j < t else
+                       (0 if r.random() < 0.8 else r.choice((1, -1, F(1, 2))))
+                       for j in range(d)])
+        sizes.append(size)
+    comps = []
+    for j in range(d):
+        ents = [[0] * rank for _ in range(rank)]
+        pos = 0
+        for lab, size in zip(labels, sizes):
+            coeff = r.randint(-1, 1)
+            for i in range(size):
+                ents[pos + i][pos + i] = lab[j]
+                if i + 1 < size:
+                    ents[pos + i][pos + i + 1] = coeff
+            pos += size
+        comps.append(Matrix(ents))
+    frame = Matrix.identity(rank)
+    for _ in range(rank if rank > 1 else 0):
+        i, j = r.sample(range(rank), 2)
+        ents = [[int(a == b) for b in range(rank)] for a in range(rank)]
+        ents[i][j] = r.choice((-1, 1))
+        frame = frame * Matrix(ents)
+    inv = frame.inverse()
+    return _from_components(P, K, hs, [frame * c * inv for c in comps])
+
+
+def test_torus_de_rham_matches_character_oracle():
+    # seeded constant flat connections with integer spectra, torus rank
+    # <= 3 and rank <= 4; about four in five have nonzero cohomology
+    r = rng(66)
+    nonzero = 0
+    for trial in range(16):
+        torus = r.randint(1, 3)
+        sharp = r.randint(0, min(2, 4 - torus))
+        P, K = mixed_hollow_model(sharp, torus)
+        hs = HollowStructure(P, K)
+        eps = random_splitting(r, hs)
+        # rank 4 only below four directions keeps the oracle's
+        # complexes, of size rank * C(directions, i), small
+        conn = _integer_spectrum_connection(
+            r, P, K, hs, r.randint(1, 4 if torus + sharp < 4 else 3))
+        dims = torus_de_rham(conn, eps)
+        assert dims == character_de_rham(conn, eps)
+        nonzero += any(dims)
+    assert nonzero >= 4
+
+
+def test_torus_de_rham_beside_irrational_block():
+    # an x^2 - 2 block next to an integer block: de Rham sees only the
+    # integer block, while the full eigen decomposition must refuse
+    P, K = mixed_hollow_model(1, 1)
+    hs = HollowStructure(P, K)
+    eps = Splitting(hs, [[1]])
+    torus = Matrix([[0, 2, 0], [1, 0, 0], [0, 0, -1]])
+    residue = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    conn = _from_components(P, K, hs, [torus, residue])
+    assert torus_de_rham(conn, eps) == [1, 2, 1] == \
+        character_de_rham(conn, eps)
+    with pytest.raises(IrrationalEigenvalue):
+        eigen_decompose(conn.constant_matrices())
+
+
+def test_torus_de_rham_rank_six_on_four_torus_is_fast():
+    # one complex per integer joint eigenspace, not one per character
+    P, K = mixed_hollow_model(0, 4)
+    hs = HollowStructure(P, K)
+    V = Matrix([[i if i == j else 0 for j in range(6)] for i in range(6)])
+    conn = LogConnection.constant(LogDifferentials(P, K), [V] * 4)
+    start = time.perf_counter()
+    dims = torus_de_rham(conn, Splitting(hs, []))
+    assert time.perf_counter() - start < 2.0
+    assert dims == [6, 24, 36, 24, 6]
 
 
 def test_comparison_log_point():

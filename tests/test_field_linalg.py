@@ -8,7 +8,8 @@ from logres.field import GaussRat, ONE, ZERO, format_scalar
 from logres.germs import RF_ONE, RF_ZERO, RatFunc, rf_solve
 from logres.lattice import rational_kernel
 from logres.linalg import (Matrix, eigen_decompose, gaussian_rational_roots,
-                           matrix_eigenvalues, matrix_rank, reassemble)
+                           integer_eigenspaces, matrix_eigenvalues,
+                           matrix_rank, reassemble)
 from logres.monoids import _coords_in_basis
 from logres.textio import parse_scalar_text
 
@@ -224,6 +225,11 @@ def test_eigen_reassembly_invariant():
         for b in blocks:
             nil = b.nilpotents[0]
             assert nil.is_nilpotent()
+        # the integer-eigenvalue split is the same loop, cut to label 2
+        assert [(b.label, b.basis, b.nilpotents)
+                for b in integer_eigenspaces([m])] == \
+            [(b.label, b.basis, b.nilpotents)
+             for b in blocks if b.label[0].is_integer()]
 
 
 def test_kron_and_direct_sum_shapes():
@@ -235,6 +241,11 @@ def test_kron_and_direct_sum_shapes():
     s = a.direct_sum(b)
     assert (s.rows, s.cols) == (4, 4)
     assert s.entries[2][2] == GaussRat(0)
+    row, col = Matrix([[1, 2]]), Matrix([[3], [4]])
+    assert Matrix.block_diag([row, col, a]) == Matrix([
+        [1, 2, 0, 0, 0], [0, 0, 3, 0, 0], [0, 0, 4, 0, 0],
+        [0, 0, 0, 1, 2], [0, 0, 0, 3, 4]])
+    assert Matrix.block_diag([]) == Matrix.zero(0)
 
 
 # -- the Gauss-Jordan kernel over Q(i), Q and Q(i)(t) -------------------------
