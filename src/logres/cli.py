@@ -10,19 +10,13 @@ from __future__ import annotations
 import json
 import sys
 
-from . import textio
-from .canext import (TauSection, canonical_extension, exponents_report,
-                     restrict)
-from .cohomology import (KoszulInput, comparison_report, koszul_cohomology,
-                         local_system_round_trip, torus_de_rham)
 from .errors import LogresError, ParseError
 from .field import format_scalar
-from .germs import germ_tensor, is_fuchsian, pullback_germ
-from .monoids import classify_model, covering_pairs, faces, radical
-from .rh import from_lobject, higgs_conditions, higgs_decompose, to_lobject
-from .strata import strata_decomposition
 from .textio import (_fmt_mp_matrix, _fmt_ratfunc, parse_document,
                      print_document)
+
+# Each command handler imports the library functions it calls, so a
+# command loads (and, without cached bytecode, compiles) only its modules.
 
 USAGE = """usage: logres <command> <document> [names...] [flags]
 
@@ -59,7 +53,13 @@ def main(argv=None) -> int:
         if a == "--dot":
             flags["dot"] = True
         elif a.startswith("--tau-window="):
-            flags["tau"] = a.split("=", 1)[1]
+            value = a.split("=", 1)[1]
+            flags["tau"] = _window_start(value)
+            if flags["tau"] is None:
+                sys.stderr.write("invalid --tau-window value %r: expected "
+                                 "(a,b] with b = a+1\n" % value)
+                sys.stderr.write(USAGE)
+                return 1
         elif a.startswith("--bound="):
             value = a.split("=", 1)[1]
             if not (value.isascii() and value.isdigit() and int(value) > 0):
@@ -163,18 +163,26 @@ def _take_optional_ideal(doc, args, monoid):
     return name, value
 
 
-def _tau_from(doc, flags):
-    if flags["tau"]:
-        text = flags["tau"].strip()
-        if not (text.startswith("(") and text.endswith("]")):
-            raise ValueError("tau window must look like (a,b]")
-        lo, hi = text[1:-1].split(",")
-        from fractions import Fraction
+def _window_start(text):
+    """a for a unit window "(a,b]" with b = a+1, else None."""
+    from fractions import Fraction
 
-        lo, hi = Fraction(lo.strip()), Fraction(hi.strip())
-        if hi - lo != 1:
-            raise ValueError("tau window must have unit length")
-        return TauSection(lo)
+    text = text.strip()
+    bounds = text[1:-1].split(",")
+    if not (text.startswith("(") and text.endswith("]")) or len(bounds) != 2:
+        return None
+    try:
+        lo, hi = (Fraction(b.strip()) for b in bounds)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return lo if hi - lo == 1 else None
+
+
+def _tau_from(doc, flags):
+    from .canext import TauSection
+
+    if flags["tau"] is not None:
+        return TauSection(flags["tau"])
     name, value = doc.first_of("tau")
     return value if value is not None else TauSection()
 
@@ -212,6 +220,8 @@ def _ser_germ(g):
 # -- command handlers ----------------------------------------------------------
 
 def _cmd_faces(doc, args, flags):
+    from .monoids import faces
+
     name, P = _take(doc, args, "monoid", "faces")
     out = [{"indices": sorted(f.generator_indices),
             "span": [list(v) for v in f.span],
@@ -220,6 +230,8 @@ def _cmd_faces(doc, args, flags):
 
 
 def _cmd_strata(doc, args, flags):
+    from .strata import strata_decomposition
+
     pname, P = _take(doc, args, "monoid", "strata")
     kname, K = _take_optional_ideal(doc, args, P)
     sd = strata_decomposition(P, K, bound=flags["bound"])
@@ -234,6 +246,8 @@ def _cmd_strata(doc, args, flags):
 
 
 def _strata_dot(sd):
+    from .monoids import covering_pairs
+
     lines = ["digraph strata {"]
     for i, s in enumerate(sd):
         lines.append('  s%d [label="F=%s (%d,%d)"];' % (
@@ -245,6 +259,8 @@ def _strata_dot(sd):
 
 
 def _cmd_classify(doc, args, flags):
+    from .monoids import classify_model
+
     pname, P = _take(doc, args, "monoid", "classify")
     kname, K = _take_optional_ideal(doc, args, P)
     mc = classify_model(P, K, bound=flags["bound"])
@@ -253,6 +269,8 @@ def _cmd_classify(doc, args, flags):
 
 
 def _cmd_radical(doc, args, flags):
+    from .monoids import radical
+
     pname, P = _take(doc, args, "monoid", "radical")
     kname, K = _take_optional_ideal(doc, args, P)
     rad = radical(P, K, bound=flags["bound"])
@@ -267,6 +285,8 @@ def _cmd_flat(doc, args, flags):
 
 
 def _cmd_higgs(doc, args, flags):
+    from .rh import higgs_conditions, higgs_decompose
+
     cname, c = _take(doc, args, "connection", "higgs")
     sname, s = _take(doc, args, "splitting", "higgs")
     c1, c2, c3, base, rhos = higgs_conditions(c, s)
@@ -281,12 +301,16 @@ def _cmd_higgs(doc, args, flags):
 
 
 def _cmd_to_lobject(doc, args, flags):
+    from .rh import to_lobject
+
     name, c = _take(doc, args, "connection", "rh to-lobject")
     V = to_lobject(c, bound=flags["bound"])
     return _ser_lobject(V), [name], None
 
 
 def _cmd_from_lobject(doc, args, flags):
+    from .rh import from_lobject
+
     name, V = _take(doc, args, "lobject", "rh from-lobject")
     c = from_lobject(V)
     return _ser_connection(c), [name], None
@@ -303,6 +327,8 @@ def _take_embedding(doc, args):
 
 
 def _cmd_canext_restrict(doc, args, flags):
+    from .canext import restrict
+
     vname, V = _take(doc, args, "lobject", "canext restrict")
     ename, E = _take_embedding(doc, args)
     out = restrict(E, V)
@@ -310,6 +336,8 @@ def _cmd_canext_restrict(doc, args, flags):
 
 
 def _cmd_canext_extend(doc, args, flags):
+    from .canext import canonical_extension
+
     vname, V = _take(doc, args, "lobject", "canext extend")
     ename, E = _take_embedding(doc, args)
     tau = _tau_from(doc, flags)
@@ -319,6 +347,8 @@ def _cmd_canext_extend(doc, args, flags):
 
 
 def _cmd_canext_exponents(doc, args, flags):
+    from .canext import exponents_report
+
     vname, V = _take(doc, args, "lobject", "canext exponents")
     ename, E = _take_embedding(doc, args)
     tau = _tau_from(doc, flags)
@@ -329,11 +359,15 @@ def _cmd_canext_exponents(doc, args, flags):
 
 
 def _cmd_germ_fuchs(doc, args, flags):
+    from .germs import is_fuchsian
+
     name, g = _take(doc, args, "germ", "germ fuchs")
     return {"fuchsian": is_fuchsian(g)}, [name], None
 
 
 def _cmd_germ_pullback(doc, args, flags):
+    from .germs import pullback_germ
+
     cname, c = _take(doc, args, "connection", "germ pullback")
     mname, m = _take(doc, args, "germmap", "germ pullback")
     g = pullback_germ(c, m)
@@ -341,12 +375,16 @@ def _cmd_germ_pullback(doc, args, flags):
 
 
 def _cmd_germ_tensor(doc, args, flags):
+    from .germs import germ_tensor
+
     n1, g1 = _take(doc, args, "germ", "germ tensor")
     n2, g2 = _take(doc, args, "germ", "germ tensor")
     return {"theta": _ser_germ(germ_tensor(g1, g2))}, [n1, n2], None
 
 
 def _cmd_koszul(doc, args, flags):
+    from .cohomology import KoszulInput, koszul_cohomology
+
     name, W = _take(doc, args, "localsystem", "cohomology koszul")
     dims = koszul_cohomology(KoszulInput(blocks=W.blocks,
                                          num_operators=W.num_generators))
@@ -354,12 +392,16 @@ def _cmd_koszul(doc, args, flags):
 
 
 def _cmd_derham(doc, args, flags):
+    from .cohomology import torus_de_rham
+
     cname, c = _take(doc, args, "connection", "cohomology derham")
     sname, s = _take(doc, args, "splitting", "cohomology derham")
     return {"dims": torus_de_rham(c, s)}, [cname, sname], None
 
 
 def _cmd_compare(doc, args, flags):
+    from .cohomology import comparison_report
+
     cname, c = _take(doc, args, "connection", "cohomology compare")
     sname, s = _take(doc, args, "splitting", "cohomology compare")
     tau = _tau_from(doc, flags)
@@ -372,6 +414,8 @@ def _cmd_compare(doc, args, flags):
 
 
 def _cmd_locsys_roundtrip(doc, args, flags):
+    from .cohomology import local_system_round_trip
+
     name, W = _take(doc, args, "localsystem", "locsys roundtrip")
     tau = _tau_from(doc, flags)
     V, Wb = local_system_round_trip(W, tau)

@@ -25,7 +25,8 @@ def _checked_blocks(blocks, count, message):
     """(blocks, count, dimension) for (labels, nilpotents) blocks, made
     into GaussRat labels and Matrix nilpotents; count None takes the first
     block's number of labels.  ValueError(message) unless every block has
-    count labels and count nilpotents."""
+    count labels and count nilpotents; ValueError too unless a block's
+    nilpotents are square of one size."""
     out = []
     for labels, nils in blocks:
         labels = tuple(as_scalar(x) for x in labels)
@@ -34,6 +35,9 @@ def _checked_blocks(blocks, count, message):
             count = len(labels)
         if len(labels) != count or len(nils) != count:
             raise ValueError(message)
+        d = nils[0].rows if nils else 0
+        if any(m.rows != d or m.cols != d for m in nils):
+            raise ValueError("block nilpotents must share a size")
         out.append((labels, nils))
     return tuple(out), count, sum(n[0].rows if n else 0 for _, n in out)
 
@@ -60,11 +64,6 @@ class KoszulInput:
             self.blocks, nops, self.dimension = _checked_blocks(
                 blocks, num_operators,
                 "each block needs one label and one nilpotent per operator")
-            for _, nils in self.blocks:
-                d = nils[0].rows if nils else 0
-                for m in nils:
-                    if m.rows != d or m.cols != d:
-                        raise ValueError("block nilpotents must share a size")
             if nops is None:
                 raise ValueError("num_operators required for empty blocks")
             self.num_operators = nops

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .canext import GoodEmbeddingModel, TauSection
-from .cohomology import LocalSystem
-from .connections import LogConnection, LogDifferentials, MonPoly
 from .errors import InvalidDeclaration, ParseError
 from .field import GaussRat, ZERO, ONE, I as IUNIT, format_scalar
-from .germs import DiffModuleGerm, GermMap, RatFunc, poly_const, POLY_T
 from .linalg import Matrix
-from .lobjects import LObject
-from .monoids import AffineMonoid, MonoidIdeal
-from .strata import HollowStructure, Splitting
+
+# The domain classes are imported where a declaration (or an entry mode)
+# builds them, so parsing loads only the modules of the kinds it meets.
 
 
 class _Token:
@@ -202,6 +198,8 @@ class _Parser:
                 return val ** e
             if e < 0:
                 self.fail("negative power in a ring entry")
+            from .connections import MonPoly
+
             out = MonPoly.constant(1, dim)
             for _ in range(e):
                 out = out * val
@@ -209,6 +207,10 @@ class _Parser:
         return val
 
     def parse_atom(self, mode, dim):
+        if mode == "germ":
+            from .germs import POLY_T, RatFunc, poly_const
+        elif mode == "ring":
+            from .connections import MonPoly
         t = self.peek()
         if t.kind == "INT":
             self.next()
@@ -369,6 +371,8 @@ def _model_ref(p, doc):
 
 
 def _decl_monoid(p, doc):
+    from .monoids import AffineMonoid
+
     t = p.next()  # 'monoid'
     name = p.expect("NAME", "a name").text
     p.expect("=", "'='")
@@ -379,6 +383,8 @@ def _decl_monoid(p, doc):
 
 
 def _decl_ideal(p, doc):
+    from .monoids import MonoidIdeal
+
     t = p.next()
     name = p.expect("NAME", "a name").text
     kw = p.expect("NAME", "'in'")
@@ -402,6 +408,8 @@ def _decl_ideal(p, doc):
 
 
 def _decl_tau(p, doc):
+    from .canext import TauSection
+
     t = p.next()
     name = p.expect("NAME", "a name").text
     p.expect("=", "'='")
@@ -422,6 +430,8 @@ def _decl_tau(p, doc):
 
 
 def _decl_splitting(p, doc):
+    from .strata import HollowStructure, Splitting
+
     t = p.next()
     name = p.expect("NAME", "a name").text
     kw = p.expect("NAME", "'on'")
@@ -452,6 +462,8 @@ def _decl_splitting(p, doc):
 
 
 def _decl_connection(p, doc):
+    from .connections import LogConnection, LogDifferentials
+
     t = p.next()
     name = p.expect("NAME", "a name").text
     kw = p.expect("NAME", "'on'")
@@ -560,6 +572,8 @@ def _gamma_index(tok, dim):
 
 
 def _assemble_lobject(p, monoid, ideal, gens, gamma_blocks, couplings):
+    from .lobjects import LObject
+
     dim = monoid.ambient_rank
     names = [g for g, _ in gens]
     degrees = [d for _, d in gens]
@@ -597,6 +611,8 @@ def _assemble_lobject(p, monoid, ideal, gens, gamma_blocks, couplings):
 
 
 def _decl_germ(p, doc):
+    from .germs import DiffModuleGerm
+
     t = p.next()
     name = p.expect("NAME", "a name").text
     p.expect("=", "'='")
@@ -607,6 +623,8 @@ def _decl_germ(p, doc):
 
 
 def _decl_germmap(p, doc):
+    from .germs import GermMap
+
     t = p.next()
     name = p.expect("NAME", "a name").text
     kw = p.expect("NAME", "'on'")
@@ -659,6 +677,8 @@ def _find_face(p, monoid, indices):
 
 
 def _decl_embedding(p, doc):
+    from .canext import GoodEmbeddingModel
+
     t = p.next()
     name = p.expect("NAME", "a name").text
     p.expect("=", "'='")
@@ -686,6 +706,8 @@ def _decl_embedding(p, doc):
 
 
 def _decl_localsystem(p, doc):
+    from .cohomology import LocalSystem
+
     t = p.next()
     name = p.expect("NAME", "a name").text
     kw = p.expect("NAME", "'r'")
@@ -858,6 +880,9 @@ def lobject_to_json(V) -> dict:
 
 
 def lobject_from_json(data) -> LObject:
+    from .lobjects import LObject
+    from .monoids import AffineMonoid, MonoidIdeal
+
     monoid = AffineMonoid(data["monoid"], ambient_rank=data["ambient_rank"])
     ideal = MonoidIdeal(monoid, data["ideal"], validate=False)
     degrees = [[parse_scalar_text(x) for x in d] for d in data["degrees"]]

@@ -11,14 +11,14 @@ import os
 import random
 from fractions import Fraction
 
-from .connections import LogConnection, LogDifferentials, MonPoly
-from .field import GaussRat, ZERO, ONE
-from .germs import DiffModuleGerm, RatFunc, RF_ZERO, poly_const
-from .linalg import Matrix
-from .lobjects import LObject
-from .monoids import AffineMonoid, MonoidIdeal
-from .rh import from_lobject
-from .strata import HollowStructure, Splitting
+from logres.connections import LogConnection, LogDifferentials, MonPoly
+from logres.field import GaussRat, ZERO, ONE
+from logres.germs import DiffModuleGerm, RatFunc, RF_ZERO, poly_const
+from logres.linalg import Matrix
+from logres.lobjects import LObject
+from logres.monoids import AffineMonoid, MonoidIdeal
+from logres.rh import from_lobject
+from logres.strata import HollowStructure, Splitting
 
 
 def seed_base():
@@ -215,7 +215,7 @@ def random_fuchsian_germ(r, rank_max=2):
               if i == j or r.random() < 0.4 else RF_ZERO
               for j in range(n)] for i in range(n)]
     g = DiffModuleGerm(const)
-    from .germs import gauge_transform, rf_identity
+    from logres.germs import gauge_transform, rf_identity
 
     T = [list(row) for row in rf_identity(n)]
     for _ in range(n):
@@ -262,6 +262,6 @@ def random_local_system(r, num_generators, dim_max=4, window=None):
                 break
         nils = _commuting_nilpotents(r, size, num_generators)
         blocks.append((labels, nils))
-    from .cohomology import LocalSystem
+    from logres.cohomology import LocalSystem
 
     return LocalSystem(num_generators, blocks).sorted_blocks()

@@ -14,12 +14,6 @@ from logres.canext import (GoodEmbeddingModel, TauSection, canonical_extension,
                            exponents_report, restrict, tau_normalize)
 from logres.cohomology import comparison_report, local_system_round_trip
 from logres.connections import LogConnection, LogDifferentials, is_flat
-from logres.corpus import (free_model, mixed_hollow_model,
-                           random_constant_flat_connection,
-                           random_fuchsian_germ, random_irregular_germ,
-                           random_lobject, random_monomial_connection,
-                           random_ratfunc, random_local_system,
-                           random_splitting, rng)
 from logres.errors import ConditionsFailed
 from logres.field import GaussRat
 from logres.germs import (DiffModuleGerm, GermMap, RatFunc,
@@ -34,6 +28,12 @@ from logres.strata import (HollowStructure, Splitting, splitting_delta,
 from logres.textio import parse_document, print_document
 
 from checkout import demo_path, run_cli
+from corpus import (free_model, mixed_hollow_model,
+                    random_constant_flat_connection,
+                    random_fuchsian_germ, random_irregular_germ,
+                    random_lobject, random_monomial_connection,
+                    random_ratfunc, random_local_system,
+                    random_splitting, rng)
 from oracles import (brute_force_faces, brute_force_radical_membership,
                      saturation_is_fuchsian, submonoid_box)
 

@@ -2,11 +2,12 @@ from fractions import Fraction as F
 
 from logres.canext import (GoodEmbeddingModel, TauSection, canonical_extension,
                            exponents_report, restrict, tau_normalize)
-from logres.corpus import random_lobject, rng
 from logres.field import GaussRat
 from logres.linalg import Matrix
 from logres.lobjects import LObject, check_axioms, graded_piece
 from logres.monoids import AffineMonoid, MonoidIdeal
+
+from corpus import random_lobject, rng
 
 ZERO_MONOID = AffineMonoid([], ambient_rank=0)
 ZERO_IDEAL = MonoidIdeal(ZERO_MONOID, ())

@@ -13,9 +13,9 @@ import json
 import re
 
 from logres import cli
-from logres.corpus import rng
 
 from checkout import demo_path
+from corpus import rng
 
 CASES = 500
 

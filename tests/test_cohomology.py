@@ -8,14 +8,14 @@ from logres.cohomology import (KoszulInput, LocalSystem, comparison_report,
                                koszul_cohomology, local_system_round_trip,
                                torus_de_rham, underline)
 from logres.connections import LogConnection, LogDifferentials
-from logres.corpus import (mixed_hollow_model, random_constant_flat_connection,
-                           random_local_system, random_splitting, rng)
 from logres.errors import IrrationalEigenvalue, NonCommuting, NotNcType
 from logres.field import GaussRat
 from logres.linalg import Matrix, eigen_decompose
 from logres.monoids import AffineMonoid, MonoidIdeal
 from logres.strata import HollowStructure, Splitting
 
+from corpus import (mixed_hollow_model, random_constant_flat_connection,
+                    random_local_system, random_splitting, rng)
 from oracles import character_de_rham, koszul_dims_kernel_image
 
 tau = TauSection()
@@ -283,7 +283,7 @@ def test_canonical_extension_preserves_group_v0_dims():
     # the V0 = V'0 identity seen through Koszul dimensions
     from logres.canext import GoodEmbeddingModel, canonical_extension
     from logres.cohomology import KoszulInput
-    from logres.corpus import random_lobject
+    from corpus import random_lobject
 
     Z0 = AffineMonoid([], ambient_rank=0)
     E = GoodEmbeddingModel(Z0, MonoidIdeal(Z0, ()), 2)

@@ -2,7 +2,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from logres.corpus import random_scalar, rng
 from logres.errors import IrrationalEigenvalue, NonCommuting
 from logres.field import GaussRat, ONE, ZERO, format_scalar
 from logres.germs import RF_ONE, RF_ZERO, RatFunc, rf_solve
@@ -13,6 +12,7 @@ from logres.linalg import (Matrix, eigen_decompose, gaussian_rational_roots,
 from logres.monoids import _coords_in_basis
 from logres.textio import parse_scalar_text
 
+from corpus import random_scalar, rng
 from oracles import faddeev_leverrier_charpoly, minor_rank, naive_matmul
 
 

@@ -3,8 +3,6 @@ from fractions import Fraction as F
 import pytest
 
 from logres.connections import LogConnection, LogDifferentials
-from logres.corpus import (random_fuchsian_germ, random_irregular_germ,
-                           random_ratfunc, rng)
 from logres.errors import NonUnitValue
 from logres.field import ONE, ZERO
 from logres.germs import (DiffModuleGerm, GermMap, RF_ONE, RF_ZERO, RatFunc,
@@ -12,6 +10,8 @@ from logres.germs import (DiffModuleGerm, GermMap, RF_ONE, RF_ZERO, RatFunc,
                           germ_tensor, is_fuchsian, pullback_germ)
 from logres.monoids import AffineMonoid, MonoidIdeal
 
+from corpus import (random_fuchsian_germ, random_irregular_germ,
+                    random_ratfunc, rng)
 from oracles import saturation_is_fuchsian
 
 

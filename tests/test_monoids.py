@@ -3,13 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from logres.corpus import rng
 from logres.errors import NotAFace
 from logres.lattice import snf
 from logres.monoids import (AffineMonoid, Face, ModelClass, MonoidIdeal,
                             classify_model, faces, localize, quotient,
                             quotient_with_map, radical)
 
+from corpus import rng
 from oracles import brute_force_faces, brute_force_radical_membership, \
     submonoid_box
 

@@ -3,10 +3,6 @@ from fractions import Fraction as F
 import pytest
 
 from logres.connections import LogConnection, LogDifferentials, MonPoly, is_flat
-from logres.corpus import (free_model, mixed_hollow_model,
-                           random_constant_flat_connection,
-                           random_monomial_connection, random_scalar,
-                           random_splitting, rng)
 from logres.errors import (ConditionsFailed, InvalidObject, NonConstant,
                            NotFlat)
 from logres.field import GaussRat
@@ -17,6 +13,10 @@ from logres.rh import from_lobject, higgs_conditions, higgs_decompose, to_lobjec
 from logres.strata import HollowStructure, Splitting, splitting_cover, \
     pullback_to_cover
 
+from corpus import (free_model, mixed_hollow_model,
+                    random_constant_flat_connection,
+                    random_monomial_connection, random_scalar,
+                    random_splitting, rng)
 from oracles import mpm_higgs_conditions, mpm_is_flat
 
 N = AffineMonoid([(1,)])

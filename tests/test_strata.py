@@ -3,13 +3,14 @@ from fractions import Fraction as F
 import pytest
 
 from logres.connections import LogConnection, LogDifferentials, MonPoly
-from logres.corpus import (mixed_hollow_model, random_constant_flat_connection,
-                           random_splitting, rng)
 from logres.errors import NotHollow
 from logres.monoids import AffineMonoid, MonoidIdeal, faces
 from logres.strata import (HollowStructure, Splitting, eps_pullback,
                            pullback_to_cover, splitting_cover, splitting_delta,
                            strata_decomposition)
+
+from corpus import (mixed_hollow_model, random_constant_flat_connection,
+                    random_splitting, rng)
 
 N = AffineMonoid([(1,)])
 N2 = AffineMonoid([(1, 0), (0, 1)])

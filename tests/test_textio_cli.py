@@ -151,6 +151,20 @@ def test_cli_bad_bound_is_usage_error(value):
     assert rest.startswith("usage: logres")
 
 
+@pytest.mark.parametrize("value", ["(a,b]", "foo", "(0,2]", "", "(0,1",
+                                   "(1/0,1]", "(0,1,2]"])
+def test_cli_bad_tau_window_is_usage_error(value):
+    r = run_cli(["canext", "extend", demo_path("canext.txt"), "V", "E",
+                 "--tau-window=" + value])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    first, rest = r.stderr.split("\n", 1)
+    assert first == ("invalid --tau-window value %r: expected (a,b] with "
+                     "b = a+1" % value)
+    assert rest.startswith("usage: logres")
+
+
 def test_cli_bound_flag_accepted():
     r = run_cli(["radical", demo_path("quadric.txt"), "--bound=6"])
     assert r.returncode == 0
@@ -232,6 +246,19 @@ def test_cli_invalid_declaration_exit_2(tmp_path, text, diagnostic):
     assert out["diagnostics"] == ["InvalidDeclaration: " + diagnostic]
 
 
+def test_cli_localsystem_nilpotent_sizes_exit_2(tmp_path):
+    p = tmp_path / "locsys.txt"
+    p.write_text("# one block, nilpotents of sizes 1 and 2\n"
+                 "localsystem W r=2 { block: labels=[0,0] "
+                 "nilpotent1=[[0]] nilpotent2=[[0,1],[0,0]] }\n")
+    r = run_cli(["print", str(p)])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stdout)["diagnostics"] == [
+        "InvalidDeclaration: localsystem W (line 2): "
+        "block nilpotents must share a size"]
+
+
 def test_lobject_nilpotent_block_shape_is_parse_error():
     with pytest.raises(ParseError, match="nilpotent block size"):
         parse_document("monoid N = [[1]]\nideal KH in N = [[1]]\n"
@@ -241,7 +268,7 @@ def test_lobject_nilpotent_block_shape_is_parse_error():
 
 
 def test_lobject_json_round_trip():
-    from logres.corpus import free_model, random_lobject, rng
+    from corpus import free_model, random_lobject, rng
     from logres.textio import lobject_from_json, lobject_to_json
 
     r = rng(71)
