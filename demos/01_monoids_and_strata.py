@@ -25,7 +25,7 @@ print("quotient P/<(1,2)>: generator images", quotient(P, F).generators)
 # Radicals are intersections of the primes attached to disjoint faces.
 N2 = AffineMonoid([(1, 0), (0, 1)])
 K = MonoidIdeal(N2, [(2, 0), (0, 3)])
-print("\nsqrt of <(2,0),(0,3)> in N^2:", radical(N2, K, bound=6).generators)
+print("\nsqrt of <(2,0),(0,3)> in N^2:", radical(N2, K).generators)
 
 # Model classification: (N, <1>) is the hollow log point, (N, <2>) is a
 # thickened point with locally constant log structure, (N, empty) is the

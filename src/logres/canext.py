@@ -60,7 +60,7 @@ class GoodEmbeddingModel:
     """The local model of a good embedding: Q = P x N^r in Q' = P x Z^r."""
 
     def __init__(self, core_monoid: AffineMonoid, core_ideal: MonoidIdeal,
-                 infinity_rank: int, bound=None):
+                 infinity_rank: int):
         if core_ideal.monoid != core_monoid:
             raise ModelMismatch("core ideal does not belong to the core monoid")
         if infinity_rank < 0:
@@ -68,7 +68,6 @@ class GoodEmbeddingModel:
         self.core_monoid = core_monoid
         self.core_ideal = core_ideal
         self.infinity_rank = infinity_rank
-        self.bound = bound
         s, r = core_monoid.ambient_rank, infinity_rank
         pgens = [tuple(g) + (0,) * r for g in core_monoid.generators]
         inf_pos = []
@@ -109,10 +108,9 @@ def restrict(model: GoodEmbeddingModel, V: LObject) -> LObject:
     model._expect(V, model.monoid_q, model.ideal_q, "Q")
     _require_valid(V)
     out = LObject(model.monoid_qp, model.ideal_qp, V.degrees,
-                  V.log_matrices, bound=model.bound)
+                  V.log_matrices)
     mats = [out.reduce_matrix(m) for m in out.log_matrices]
-    return LObject(model.monoid_qp, model.ideal_qp, V.degrees, mats,
-                   bound=model.bound)
+    return LObject(model.monoid_qp, model.ideal_qp, V.degrees, mats)
 
 
 def _shifts_for(model, V, tau):
@@ -139,9 +137,9 @@ def _apply_shifts(model, V, shifts, monoid, ideal):
     for d, sh in zip(V.degrees, shifts):
         degs.append(tuple(d[:s]) + tuple(x + GaussRat(c)
                                          for x, c in zip(d[s:], sh)))
-    out = LObject(monoid, ideal, degs, V.log_matrices, bound=model.bound)
+    out = LObject(monoid, ideal, degs, V.log_matrices)
     mats = [out.reduce_matrix(m) for m in out.log_matrices]
-    return LObject(monoid, ideal, degs, mats, bound=model.bound)
+    return LObject(monoid, ideal, degs, mats)
 
 
 def canonical_extension(model: GoodEmbeddingModel, Vp: LObject,

@@ -41,33 +41,26 @@ commands:
   locsys roundtrip DOC [W]            local-system round trip
   print DOC                           canonical reprint of the document
 
-flags: --dot, --tau-window="(a,b]", --bound=N (N a positive integer)
+flags: --dot (faces, strata, print); --tau-window="(a,b]" with b = a+1
+(canext extend, canext exponents, cohomology compare, locsys roundtrip)
 """
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    flags = {"dot": False, "tau": None, "bound": None}
+    flags = {}  # flag -> value, for the flags given
     args = []
     for a in argv:
         if a == "--dot":
-            flags["dot"] = True
+            flags[a] = True
         elif a.startswith("--tau-window="):
             value = a.split("=", 1)[1]
-            flags["tau"] = _window_start(value)
-            if flags["tau"] is None:
+            flags["--tau-window"] = _window_start(value)
+            if flags["--tau-window"] is None:
                 sys.stderr.write("invalid --tau-window value %r: expected "
                                  "(a,b] with b = a+1\n" % value)
                 sys.stderr.write(USAGE)
                 return 1
-        elif a.startswith("--bound="):
-            value = a.split("=", 1)[1]
-            if not (value.isascii() and value.isdigit() and int(value) > 0):
-                sys.stderr.write("invalid --bound value %r: expected a "
-                                 "positive integer\n" % value)
-                sys.stderr.write(USAGE)
-                return 1
-            flags["bound"] = int(value)
         elif a.startswith("--"):
             sys.stderr.write("unknown flag %s\n" % a)
             sys.stderr.write(USAGE)
@@ -83,28 +76,41 @@ def main(argv=None) -> int:
             sys.stderr.write(USAGE)
             return 1
         command = command + " " + args.pop(0)
-    handler = _COMMANDS.get(command)
-    if handler is None:
+    if command not in _COMMANDS:
         sys.stderr.write("unknown command %r\n" % command)
+        sys.stderr.write(USAGE)
+        return 1
+    handler, max_names, reads = _COMMANDS[command]
+    unread = [f for f in flags if f not in reads]
+    if unread:
+        sys.stderr.write("flag %s does not apply to %s\n"
+                         % (unread[0], command))
         sys.stderr.write(USAGE)
         return 1
     if not args:
         sys.stderr.write(USAGE)
         return 1
     path = args.pop(0)
+    # further positional arguments naming existing files are concatenated
+    # before parsing, so inputs may be split across documents (e.g. a
+    # connection file plus a germ-map file referring to its model)
+    import os
+
+    extras = [a for a in args if os.path.exists(a)]
+    for extra in extras:
+        args.remove(extra)
+    if len(args) > max_names:
+        sys.stderr.write("too many names for %s: %s\n"
+                         % (command, " ".join(args[max_names:])))
+        sys.stderr.write(USAGE)
+        return 1
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         _emit_error(command, path, "FileNotFound: %s" % e)
         return 2
-    # further positional arguments naming existing files are concatenated
-    # before parsing, so inputs may be split across documents (e.g. a
-    # connection file plus a germ-map file referring to its model)
-    import os
-
-    for extra in [a for a in args if os.path.exists(a)]:
-        args.remove(extra)
+    for extra in extras:
         with open(extra, "r", encoding="utf-8") as fh:
             text = text + "\n" + fh.read()
     try:
@@ -124,7 +130,7 @@ def main(argv=None) -> int:
             ZeroDivisionError) as e:
         _emit_error(command, path, "%s: %s" % (type(e).__name__, e))
         return 2
-    if flags["dot"] and dot is not None:
+    if "--dot" in flags:
         sys.stdout.write(dot)
         if not dot.endswith("\n"):
             sys.stdout.write("\n")
@@ -168,11 +174,11 @@ def _window_start(text):
     from fractions import Fraction
 
     text = text.strip()
-    bounds = text[1:-1].split(",")
-    if not (text.startswith("(") and text.endswith("]")) or len(bounds) != 2:
+    ends = text[1:-1].split(",")
+    if not (text.startswith("(") and text.endswith("]")) or len(ends) != 2:
         return None
     try:
-        lo, hi = (Fraction(b.strip()) for b in bounds)
+        lo, hi = (Fraction(e.strip()) for e in ends)
     except (ValueError, ZeroDivisionError):
         return None
     return lo if hi - lo == 1 else None
@@ -181,8 +187,8 @@ def _window_start(text):
 def _tau_from(doc, flags):
     from .canext import TauSection
 
-    if flags["tau"] is not None:
-        return TauSection(flags["tau"])
+    if "--tau-window" in flags:
+        return TauSection(flags["--tau-window"])
     name, value = doc.first_of("tau")
     return value if value is not None else TauSection()
 
@@ -234,7 +240,7 @@ def _cmd_strata(doc, args, flags):
 
     pname, P = _take(doc, args, "monoid", "strata")
     kname, K = _take_optional_ideal(doc, args, P)
-    sd = strata_decomposition(P, K, bound=flags["bound"])
+    sd = strata_decomposition(P, K)
     out = [{"face": sorted(s.face.generator_indices),
             "torus_rank": s.torus_rank,
             "log_rank": s.log_rank,
@@ -263,7 +269,7 @@ def _cmd_classify(doc, args, flags):
 
     pname, P = _take(doc, args, "monoid", "classify")
     kname, K = _take_optional_ideal(doc, args, P)
-    mc = classify_model(P, K, bound=flags["bound"])
+    mc = classify_model(P, K)
     return ({"locally_constant": mc.locally_constant, "hollow": mc.hollow},
             [pname, kname], None)
 
@@ -273,7 +279,7 @@ def _cmd_radical(doc, args, flags):
 
     pname, P = _take(doc, args, "monoid", "radical")
     kname, K = _take_optional_ideal(doc, args, P)
-    rad = radical(P, K, bound=flags["bound"])
+    rad = radical(P, K)
     return ([list(g) for g in rad.generators], [pname, kname], None)
 
 
@@ -304,7 +310,7 @@ def _cmd_to_lobject(doc, args, flags):
     from .rh import to_lobject
 
     name, c = _take(doc, args, "connection", "rh to-lobject")
-    V = to_lobject(c, bound=flags["bound"])
+    V = to_lobject(c)
     return _ser_lobject(V), [name], None
 
 
@@ -405,7 +411,7 @@ def _cmd_compare(doc, args, flags):
     cname, c = _take(doc, args, "connection", "cohomology compare")
     sname, s = _take(doc, args, "splitting", "cohomology compare")
     tau = _tau_from(doc, flags)
-    rep = comparison_report(c, s, tau, bound=flags["bound"])
+    rep = comparison_report(c, s, tau)
     return ({"deRham": list(rep.de_rham), "groupV0": list(rep.group_v0),
              "localSystem": list(rep.local_system), "adapted": rep.adapted,
              "deRham_equals_groupV0": rep.de_rham_equals_group,
@@ -428,26 +434,29 @@ def _cmd_print(doc, args, flags):
     return {"text": text}, [], text
 
 
+# command -> (handler, the most names it takes, the flags it reads)
+_DOT = ("--dot",)
+_TAU = ("--tau-window",)
 _COMMANDS = {
-    "faces": _cmd_faces,
-    "strata": _cmd_strata,
-    "classify": _cmd_classify,
-    "radical": _cmd_radical,
-    "flat": _cmd_flat,
-    "higgs": _cmd_higgs,
-    "rh to-lobject": _cmd_to_lobject,
-    "rh from-lobject": _cmd_from_lobject,
-    "canext restrict": _cmd_canext_restrict,
-    "canext extend": _cmd_canext_extend,
-    "canext exponents": _cmd_canext_exponents,
-    "germ fuchs": _cmd_germ_fuchs,
-    "germ pullback": _cmd_germ_pullback,
-    "germ tensor": _cmd_germ_tensor,
-    "cohomology koszul": _cmd_koszul,
-    "cohomology derham": _cmd_derham,
-    "cohomology compare": _cmd_compare,
-    "locsys roundtrip": _cmd_locsys_roundtrip,
-    "print": _cmd_print,
+    "faces": (_cmd_faces, 1, _DOT),
+    "strata": (_cmd_strata, 2, _DOT),
+    "classify": (_cmd_classify, 2, ()),
+    "radical": (_cmd_radical, 2, ()),
+    "flat": (_cmd_flat, 1, ()),
+    "higgs": (_cmd_higgs, 2, ()),
+    "rh to-lobject": (_cmd_to_lobject, 1, ()),
+    "rh from-lobject": (_cmd_from_lobject, 1, ()),
+    "canext restrict": (_cmd_canext_restrict, 2, ()),
+    "canext extend": (_cmd_canext_extend, 2, _TAU),
+    "canext exponents": (_cmd_canext_exponents, 2, _TAU),
+    "germ fuchs": (_cmd_germ_fuchs, 1, ()),
+    "germ pullback": (_cmd_germ_pullback, 2, ()),
+    "germ tensor": (_cmd_germ_tensor, 2, ()),
+    "cohomology koszul": (_cmd_koszul, 1, ()),
+    "cohomology derham": (_cmd_derham, 2, ()),
+    "cohomology compare": (_cmd_compare, 2, _TAU),
+    "locsys roundtrip": (_cmd_locsys_roundtrip, 1, _TAU),
+    "print": (_cmd_print, 0, _DOT),
 }
 
 

@@ -295,7 +295,7 @@ def torus_de_rham(conn, eps):
     return dims
 
 
-def comparison_report(conn, eps, tau, bound=None) -> CohomologyReport:
+def comparison_report(conn, eps, tau) -> CohomologyReport:
     """The three-sided comparison on a hollow constant flat connection:
     (i) algebraic de Rham per integer joint eigenspace, (ii) group
     cohomology of the zeroth graded piece, (iii) cohomology of the full
@@ -317,8 +317,7 @@ def comparison_report(conn, eps, tau, bound=None) -> CohomologyReport:
         a = b.label
         if all(x.is_integer() for x in a):
             vec = tuple(int(x.re) for x in a)
-            if monoid.contains(vec, bound=bound) and \
-                    not ideal.contains(vec, bound=bound):
+            if monoid.contains(vec) and not ideal.contains(vec):
                 v0_blocks.append((labels, nils))
     r = len(mats)
     group_v0 = koszul_cohomology(KoszulInput(blocks=v0_blocks,

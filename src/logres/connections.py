@@ -111,7 +111,7 @@ class LogDifferentials:
     generators are required to span as a group.
     """
 
-    def __init__(self, monoid: AffineMonoid, ideal: MonoidIdeal, bound=None):
+    def __init__(self, monoid: AffineMonoid, ideal: MonoidIdeal):
         if ideal.monoid != monoid:
             raise ModelMismatch("ideal is not an ideal of this monoid")
         if monoid.ambient_rank > 0:
@@ -122,7 +122,6 @@ class LogDifferentials:
         self.monoid = monoid
         self.ideal = ideal
         self.rank = monoid.ambient_rank
-        self.bound = bound
 
     def __eq__(self, other):
         return (isinstance(other, LogDifferentials)
@@ -135,9 +134,9 @@ class LogDifferentials:
         """Reduce an element of C[P] modulo K (drop terms with exponent in K)."""
         kept = []
         for e, c in mp.terms:
-            if not self.monoid.contains(e, bound=self.bound):
+            if not self.monoid.contains(e):
                 raise ValueError("monomial %r is not in the monoid" % (e,))
-            if not self.ideal.contains(e, bound=self.bound):
+            if not self.ideal.contains(e):
                 kept.append((e, c))
         return MonPoly(kept)
 

@@ -54,8 +54,8 @@ class ConditionsFailed(LogresError):
 
 
 class CyclicVectorNotFound(LogresError):
-    """The deterministic cyclic-vector ladder was exhausted (implementation
-    bound, not a mathematical impossibility)."""
+    """The deterministic cyclic-vector ladder was exhausted (a limit of the
+    implementation, not a mathematical impossibility)."""
 
 
 class NonUnitValue(LogresError):

@@ -46,12 +46,11 @@ class LObject:
     """Free P^gp (x) Q(i)-graded C[P]/(K)-module with monodromy."""
 
     def __init__(self, monoid: AffineMonoid, ideal: MonoidIdeal, degrees,
-                 log_matrices, bound=None):
+                 log_matrices):
         if ideal.monoid != monoid:
             raise ModelMismatch("ideal does not belong to the monoid")
         self.monoid = monoid
         self.ideal = ideal
-        self.bound = bound
         s = monoid.ambient_rank
         self.directions = s
         self.degrees = tuple(tuple(as_scalar(x) for x in d) for d in degrees)
@@ -132,8 +131,7 @@ class LObject:
         d = self.monomial_between(i, j)
         if d is None:
             return False
-        return (self.monoid.contains(d, bound=self.bound)
-                and not self.ideal.contains(d, bound=self.bound))
+        return self.monoid.contains(d) and not self.ideal.contains(d)
 
     def reduce_matrix(self, m: Matrix) -> Matrix:
         """Zero out the positions whose monomial dies in C[P]/(K)."""
@@ -155,8 +153,7 @@ class LObject:
                       key=lambda j: (tuple(x.sort_key() for x in self.degrees[j]), j))
         degs = tuple(self.degrees[j] for j in perm)
         mats = [m.submatrix(perm, perm) for m in self.log_matrices]
-        return LObject(self.monoid, self.ideal, degs, mats,
-                       bound=self.bound), tuple(perm)
+        return LObject(self.monoid, self.ideal, degs, mats), tuple(perm)
 
 
 def _degree_diff(a, b):
@@ -188,11 +185,11 @@ def check_axioms(V: LObject) -> ValidationReport:
                     bad.append(("HomogeneityViolation",
                                 "gamma%d[%d,%d]: degree difference not integral"
                                 % (k, i, j)))
-                elif not V.monoid.contains(d, bound=V.bound):
+                elif not V.monoid.contains(d):
                     bad.append(("HomogeneityViolation",
                                 "gamma%d[%d,%d]: monomial %r outside the monoid"
                                 % (k, i, j, d)))
-                elif V.ideal.contains(d, bound=V.bound):
+                elif V.ideal.contains(d):
                     bad.append(("HomogeneityViolation",
                                 "gamma%d[%d,%d]: monomial %r lies in the ideal"
                                 % (k, i, j, d)))
@@ -273,8 +270,7 @@ def graded_piece(V: LObject, lam) -> GradedPiece:
             continue
         if not any(d):
             idx.append(j)
-        elif V.monoid.contains(d, bound=V.bound) and \
-                not V.ideal.contains(d, bound=V.bound):
+        elif V.monoid.contains(d) and not V.ideal.contains(d):
             idx.append(j)
     ops = []
     for k in range(V.directions):
@@ -296,8 +292,7 @@ def tensor(V: LObject, W: LObject) -> LObject:
     mats = []
     for k in range(V.directions):
         mats.append(V.log_matrices[k].kron(iw) + iv.kron(W.log_matrices[k]))
-    out = LObject(V.monoid, V.ideal, degs, mats,
-                  bound=V.bound if V.bound is not None else W.bound)
+    out = LObject(V.monoid, V.ideal, degs, mats)
     # kill tensor couplings whose monomial died in the quotient ring
     mats = [out.reduce_matrix(m) for m in out.log_matrices]
-    return LObject(V.monoid, V.ideal, out.degrees, mats, bound=out.bound)
+    return LObject(V.monoid, V.ideal, out.degrees, mats)

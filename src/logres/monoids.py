@@ -1,22 +1,24 @@
 """Affine fs monoid combinatorics: faces, ideals, radicals, localization,
 quotients, and the locally-constant / hollow classification of models.
 
-A monoid is presented by generators inside Z^d.  Saturation is never
-enforced; it is a bounded query.  Membership of a vector is decided by a
-box-bounded search over the generator representation, with the bound
-exposed (default: componentwise 4 * max coordinate), so callers can stress
-it.  Face enumeration is exact: the cone's facets are computed once, as the
-integer normals of hyperplanes through its generators, and the faces are
-the intersections of the facets' generator index sets (the closed sets of
-the generator-facet incidence).  A face handed in by a caller is certified
-independently by a rational supporting functional, decided by
-Fourier-Motzkin elimination.
+A monoid is presented by generators inside Z^d.  The cone's facets are
+computed once, as the integer normals of hyperplanes through its
+generators; each facet keeps its primitive integral functional.  The
+faces are the intersections of the facets' generator index sets (the
+closed sets of the generator-facet incidence).  Membership and saturation
+are exact decisions from the facet functionals: membership by a search
+that the functionals confine to finitely many states, saturation by the
+lattice points of the half-open parallelepipeds of the generators.  A face
+handed in by a caller is certified independently by a rational supporting
+functional, decided by Fourier-Motzkin elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
+from operator import mul, sub
 
 from .errors import NotAFace
 from .lattice import (hnf_rows, lattice_rank, rational_kernel, snf,
@@ -26,10 +28,12 @@ from .linalg import solve_columns
 
 def _det(m):
     """Determinant of a square integer matrix (Bareiss, exact division)."""
-    m = [list(row) for row in m]
     n = len(m)
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if not n:
         return 1
+    m = [list(row) for row in m]
     sign, prev = 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
@@ -43,14 +47,6 @@ def _det(m):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
-
-
-def _default_bound(vectors):
-    m = 1
-    for v in vectors:
-        for x in v:
-            m = max(m, abs(x))
-    return 4 * m
 
 
 class AffineMonoid:
@@ -71,9 +67,9 @@ class AffineMonoid:
         self.ambient_rank = d
         self.generators = gens
         self._member_cache = {}
+        self._facet_list = None
         self._faces = None
-        self._has_neg = tuple(any(g[i] < 0 for g in gens) for i in range(d))
-        self._has_pos = tuple(any(g[i] > 0 for g in gens) for i in range(d))
+        self._membership = None
 
     def __eq__(self, other):
         return (isinstance(other, AffineMonoid)
@@ -88,50 +84,76 @@ class AffineMonoid:
 
     # -- membership ---------------------------------------------------------
 
-    def contains(self, x, bound=None):
+    def contains(self, x):
         """Is x a nonnegative integer combination of the generators?
 
-        Box-bounded depth-first search: intermediate vectors must stay
-        within componentwise |y_i| <= bound.
+        Exact.  The units of P are the group L spanned by the generators
+        on which every facet functional vanishes.  A search over classes
+        modulo L (canonical representatives from L's Hermite basis) starts
+        at x, subtracts non-unit generators, and keeps a class only where
+        every facet functional is >= 0; x is in P iff it reaches 0.
+
+        Lemma.  Complete: if x = u + g_1 + ... + g_k (u in L, g_i non-unit
+        generators), every partial remainder x - g_1 - ... - g_j lies in P,
+        so every functional is >= 0 on it and the search reaches the class
+        of u, which is 0.  Finite: a class met is that of x - s with s in P
+        and 0 <= l(s) <= l(x) for each functional l; the cone modulo its
+        units is pointed, so finitely many l-values occur, each on finitely
+        many classes modulo L.
         """
         x = tuple(int(v) for v in x)
         if len(x) != self.ambient_rank:
             raise ValueError("dimension mismatch")
-        if bound is None:
-            bound = _default_bound(self.generators + (x,))
-        key = (x, bound)
-        cached = self._member_cache.get(key)
-        if cached is not None:
-            return cached
+        if not any(x):
+            return True  # the empty sum; needs no facets
+        found = self._member_cache.get(x)
+        if found is None:
+            found = self._member_cache[x] = self._search(x)
+        return found
+
+    def _search(self, x):
+        functionals, units, steps = self._membership_data()
+
+        def reduce(y):  # the canonical representative modulo the units
+            for c, p, row in units:
+                q = y[c] // p
+                if q:
+                    y = tuple(a - q * b for a, b in zip(y, row))
+            return y
+
+        def admissible(y):
+            return all(sum(map(mul, f, y)) >= 0 for f in functionals)
+
         zero = (0,) * self.ambient_rank
-
-        def feasible(y):
-            # a coordinate of fixed sign can only be cleared by a generator
-            # with a coordinate of the opposite sign
-            for i, c in enumerate(y):
-                if c < 0 and not self._has_neg[i]:
-                    return False
-                if c > 0 and not self._has_pos[i]:
-                    return False
-            return True
-
-        seen = set()
-        stack = [x]
-        found = False
+        start = reduce(x)
+        seen = {start}
+        stack = [start] if admissible(x) else []
         while stack:
             y = stack.pop()
             if y == zero:
-                found = True
-                break
-            if y in seen or not feasible(y):
-                continue
-            seen.add(y)
-            for g in self.generators:
-                z = tuple(a - b for a, b in zip(y, g))
-                if z not in seen and all(abs(c) <= bound for c in z):
+                return True
+            for g in steps:
+                z = reduce(tuple(map(sub, y, g)))
+                if z not in seen and admissible(z):
+                    seen.add(z)
                     stack.append(z)
-        self._member_cache[key] = found
-        return found
+        return False
+
+    def _membership_data(self):
+        """(facet functionals, (pivot column, pivot, row) per Hermite row
+        of the units, non-unit generators), memoised.  The units are the
+        generators in every facet."""
+        if self._membership is None:
+            facets = self._facets()
+            units = frozenset(range(len(self.generators))).intersection(
+                *(idx for idx, _ in facets))
+            basis = hnf_rows([self.generators[j] for j in sorted(units)])
+            self._membership = (
+                [f for _, f in facets],
+                [(next(c for c, v in enumerate(row) if v),
+                  next(v for v in row if v), row) for row in basis],
+                [g for j, g in enumerate(self.generators) if j not in units])
+        return self._membership
 
     def elements_in_box(self, bound):
         """All monoid elements with componentwise |x_i| <= bound (BFS from 0)."""
@@ -156,7 +178,7 @@ class AffineMonoid:
 
     def in_group(self, x):
         """Is x in the subgroup P^gp of Z^d?"""
-        return lattice_rank(list(self.group_basis()) + [list(x)]) == self.group_rank()
+        return _coords_in_basis(self.group_basis(), x) is not None
 
     # -- faces ---------------------------------------------------------------
 
@@ -171,7 +193,7 @@ class AffineMonoid:
         """
         if self._faces is not None:
             return self._faces
-        facets = self._facets()
+        facets = [idx for idx, _ in self._facets()]
         full = frozenset(range(len(self.generators)))
         found = {full}
         work = [full]
@@ -189,32 +211,43 @@ class AffineMonoid:
         return out
 
     def _facets(self):
-        """Generator index sets of the facets of the cone of P.
+        """The facets of the cone of P, as (generator index set,
+        functional) pairs; memoized.
 
         Projecting onto the leading columns of the Hermite basis of P^gp
         is injective on its span, so the projected cone is full-dimensional
         in Q^r.  A facet's hyperplane is spanned by r - 1 independent
         generators, and its normal is their generalised cross product (the
         signed (r-1)-minors).  A nonzero normal of one sign on every
-        generator supports a facet: the generators where it vanishes.
+        generator supports a facet: the generators where it vanishes.  The
+        functional is that normal made primitive, oriented >= 0 on P, and
+        written on Z^d through the Hermite pivot columns.
         """
+        if self._facet_list is not None:
+            return self._facet_list
         basis = self.group_basis()
         r = len(basis)
-        if r == 0:
-            return []
+        if not r:
+            self._facet_list = []
+            return self._facet_list
+        facets = {}
         cols = [next(j for j, x in enumerate(row) if x) for row in basis]
         proj = [tuple(g[c] for c in cols) for g in self.generators]
         points = sorted({p for p in proj if any(p)})
-        facets = set()
-        for sub in combinations(points, r - 1):
-            normal = [(-1) ** i
-                      * _det([[v[c] for c in range(r) if c != i] for v in sub])
-                      for i in range(r)]
-            values = [sum(a * b for a, b in zip(normal, p)) for p in proj]
+        minors = [[c for c in range(r) if c != i] for i in range(r)]
+        for spanning in combinations(points, r - 1):
+            normal = [_det([[v[c] for c in minor] for v in spanning])
+                      for minor in minors]
+            normal[1::2] = [-a for a in normal[1::2]]
+            values = [sum(map(mul, normal, p)) for p in proj]
             if not any(values) or min(values) < 0 < max(values):
                 continue  # dependent subset, or a hyperplane through the cone
-            facets.add(frozenset(j for j, v in enumerate(values) if v == 0))
-        return list(facets)
+            scale = gcd(*normal) * (1 if max(values) > 0 else -1)
+            functional = dict(zip(cols, (a // scale for a in normal)))
+            facets[frozenset(j for j, v in enumerate(values) if v == 0)] = \
+                tuple(functional.get(c, 0) for c in range(self.ambient_rank))
+        self._facet_list = list(facets.items())
+        return self._facet_list
 
     def _is_face_subset(self, idx):
         inside = [self.generators[j] for j in sorted(idx)]
@@ -238,23 +271,33 @@ class AffineMonoid:
     def is_sharp(self):
         return not self.unit_face().span
 
-    def is_saturated(self, bound=4, multiple_bound=6):
-        """Bounded saturation check on the box |x_i| <= bound.
+    def is_saturated(self):
+        """Is P = P^gp cap cone(P)?  Exact.
 
-        Scans group elements x in the box with n*x in P for some
-        2 <= n <= multiple_bound and reports False if such an x is missing
-        from P.  A True answer is evidence, not proof, at this bound.
+        By Caratheodory each x of P^gp in the cone lies in the cone of r =
+        rank P^gp independent generators S, so x = p + sum n_g g with n_g
+        in N and p in P^gp in the half-open parallelepiped {sum t_g g :
+        g in S, 0 <= t_g < 1} (Bruns & Gubeladze, Polytopes, Rings, and
+        K-Theory, ch. 2); P is saturated iff every such p lies in P.  With
+        S in P^gp coordinates as the columns of M, U M V = D its Smith
+        form, the p are sum_g frac((V D^-1 k)_g) g, 0 <= k_i < D_ii: one
+        per coset of M Z^r.
         """
-        from itertools import product
-
-        for x in product(range(-bound, bound + 1), repeat=self.ambient_rank):
-            if not any(x) or not self.in_group(x):
-                continue
-            if self.contains(x):
-                continue
-            for n in range(2, multiple_bound + 1):
-                nx = tuple(n * c for c in x)
-                if self.contains(nx):
+        basis = self.group_basis()
+        coords = [_coords_in_basis(basis, g) for g in self.generators]
+        for subset in combinations(range(len(coords)), len(basis)):
+            _, D, V, _ = snf([[coords[j][i] for j in subset]
+                              for i in range(len(basis))])
+            diag = [abs(D[i][i]) for i in range(len(basis))]
+            if 0 in diag:
+                continue  # linearly dependent generators
+            for k in product(*(range(e) for e in diag)):
+                t = [sum(Fraction(v * kk, e) for v, kk, e in zip(row, k, diag))
+                     % 1 for row in V]
+                p = [sum(tj * self.generators[j][c]
+                         for tj, j in zip(t, subset))
+                     for c in range(self.ambient_rank)]
+                if not self.contains(p):
                     return False
         return True
 
@@ -300,16 +343,16 @@ class Face:
                                            ambient_rank=self.monoid.ambient_rank)
         return self._submonoid
 
-    def contains(self, x, bound=None):
+    def contains(self, x):
         """Face membership: x must be a combination of the face generators."""
-        return self.submonoid().contains(x, bound=bound)
+        return self.submonoid().contains(x)
 
     def group_rank(self):
         return lattice_rank(self.span)
 
-    def is_disjoint_from(self, ideal, bound=None):
+    def is_disjoint_from(self, ideal):
         """F cap K is empty iff no generator of K lies in F."""
-        return not any(self.contains(k, bound=bound) for k in ideal.generators)
+        return not any(self.contains(k) for k in ideal.generators)
 
 
 def _check_face(P, F):
@@ -320,14 +363,15 @@ def _check_face(P, F):
 
 
 class MonoidIdeal:
-    """Ideal of P, closed generator list; membership is bounded search."""
+    """Ideal of P, closed generator list; x is in it iff x - k is in P for
+    some generator k."""
 
-    def __init__(self, monoid, generators, validate=True, bound=None):
+    def __init__(self, monoid, generators, validate=True):
         self.monoid = monoid
         self.generators = tuple(tuple(int(x) for x in g) for g in generators)
         if validate:
             for k in self.generators:
-                if not monoid.contains(k, bound=bound):
+                if not monoid.contains(k):
                     raise ValueError("ideal generator %r is not in the monoid" % (k,))
 
     def __eq__(self, other):
@@ -343,10 +387,9 @@ class MonoidIdeal:
     def is_empty(self):
         return not self.generators
 
-    def contains(self, x, bound=None):
+    def contains(self, x):
         x = tuple(int(v) for v in x)
-        return any(self.monoid.contains(tuple(a - b for a, b in zip(x, k)),
-                                        bound=bound)
+        return any(self.monoid.contains(tuple(a - b for a, b in zip(x, k)))
                    for k in self.generators)
 
 
@@ -463,17 +506,18 @@ def quotient(P: AffineMonoid, F: Face) -> AffineMonoid:
     return quotient_with_map(P, F)[0]
 
 
-def radical(P: AffineMonoid, K: MonoidIdeal, bound=None) -> MonoidIdeal:
+def radical(P: AffineMonoid, K: MonoidIdeal) -> MonoidIdeal:
     """sqrt(K), computed as the intersection of the primes P minus F over
     faces F disjoint from K; generators are the minimal elements found in
-    the search box."""
+    the candidate box |x_i| <= 4 * (largest coordinate of a generator of P
+    or K)."""
     if K.is_empty():
         return MonoidIdeal(P, (), validate=False)
-    if bound is None:
-        bound = _default_bound(P.generators + K.generators)
-    disjoint = [F for F in P.faces() if F.is_disjoint_from(K, bound=bound)]
-    face_boxes = [F.submonoid().elements_in_box(bound) for F in disjoint]
-    pbox = P.elements_in_box(bound)
+    box = 4 * max([1] + [abs(c) for v in P.generators + K.generators
+                         for c in v])
+    disjoint = [F for F in P.faces() if F.is_disjoint_from(K)]
+    face_boxes = [F.submonoid().elements_in_box(box) for F in disjoint]
+    pbox = P.elements_in_box(box)
     members = []
     for x in sorted(pbox):
         if not any(x):
@@ -486,32 +530,30 @@ def radical(P: AffineMonoid, K: MonoidIdeal, bound=None) -> MonoidIdeal:
 
     def below(x, y):  # is x - y in P?
         d = tuple(a - b for a, b in zip(x, y))
-        if all(abs(c) <= bound for c in d):
+        if all(abs(c) <= box for c in d):
             return d in pbox
-        return P.contains(d, bound=bound)
+        return P.contains(d)
 
     minimal = [x for x in members
                if not any(y != x and below(x, y) for y in member_set)]
     return MonoidIdeal(P, tuple(sorted(minimal)), validate=False)
 
 
-def classify_model(P: AffineMonoid, K: MonoidIdeal, bound=None) -> ModelClass:
+def classify_model(P: AffineMonoid, K: MonoidIdeal) -> ModelClass:
     """locally constant iff sqrt(K) = P minus units; hollow iff K equals it.
 
     Both are decided on generators: an ideal that contains every non-unit
     generator contains every non-unit element.
     """
-    if bound is None:
-        bound = _default_bound(P.generators + K.generators)
     unit = P.unit_face()
-    if any(unit.contains(k, bound=bound) for k in K.generators):
+    if any(unit.contains(k) for k in K.generators):
         # a unit in K forces K = P; the model is empty, neither class applies
         return ModelClass(False, False)
     nonunit_gens = [g for j, g in enumerate(P.generators)
                     if j not in unit.generator_indices]
-    disjoint = [F for F in P.faces() if F.is_disjoint_from(K, bound=bound)]
+    disjoint = [F for F in P.faces() if F.is_disjoint_from(K)]
     loc_const = all(
-        all(not F.contains(g, bound=bound) for F in disjoint)
+        all(not F.contains(g) for F in disjoint)
         for g in nonunit_gens)
-    hollow = loc_const and all(K.contains(g, bound=bound) for g in nonunit_gens)
+    hollow = loc_const and all(K.contains(g) for g in nonunit_gens)
     return ModelClass(loc_const, hollow)

@@ -67,7 +67,7 @@ def higgs_decompose(conn: LogConnection, eps: Splitting) -> HiggsData:
     return HiggsData(base, rhos)
 
 
-def to_lobject(conn: LogConnection, bound=None) -> LObject:
+def to_lobject(conn: LogConnection) -> LObject:
     """Graded monodromy module of a constant-coefficient flat connection.
 
     One generator class per joint generalized eigenspace; degrees are the
@@ -85,7 +85,7 @@ def to_lobject(conn: LogConnection, bound=None) -> LObject:
         degrees.extend([tuple(-x for x in b.label)] * b.dim)
     logmats = [Matrix.block_diag([-b.nilpotents[k] for b in blocks])
                for k in range(len(mats))]
-    V = LObject(conn.monoid, conn.ideal, degrees, logmats, bound=bound)
+    V = LObject(conn.monoid, conn.ideal, degrees, logmats)
     return V.canonical_sort()[0]
 
 
@@ -100,7 +100,7 @@ def from_lobject(V: LObject) -> LogConnection:
         raise InvalidObject("object fails axioms: %s" % report.codes(), report)
     from .connections import LogDifferentials
 
-    diff = LogDifferentials(V.monoid, V.ideal, bound=V.bound)
+    diff = LogDifferentials(V.monoid, V.ideal)
     s = V.directions
     n = V.rank
     omega = []

@@ -40,12 +40,12 @@ class StratumDescriptor:
             sorted(self.face.generator_indices), self.torus_rank, self.log_rank)
 
 
-def strata_decomposition(P: AffineMonoid, K: MonoidIdeal, bound=None):
+def strata_decomposition(P: AffineMonoid, K: MonoidIdeal):
     """One descriptor per face disjoint from K, ordered by the face order."""
     out = []
     total = P.group_rank()
     for F in P.faces():
-        if not F.is_disjoint_from(K, bound=bound):
+        if not F.is_disjoint_from(K):
             continue
         Q, qmap = quotient_with_map(P, F)
         induced = MonoidIdeal(Q, tuple(qmap.apply(k) for k in K.generators),
@@ -63,8 +63,8 @@ class HollowStructure:
     used by pullbacks.
     """
 
-    def __init__(self, monoid: AffineMonoid, ideal: MonoidIdeal, bound=None):
-        if not classify_model(monoid, ideal, bound=bound).hollow:
+    def __init__(self, monoid: AffineMonoid, ideal: MonoidIdeal):
+        if not classify_model(monoid, ideal).hollow:
             raise NotHollow("model is not hollow")
         self.monoid = monoid
         self.ideal = ideal
@@ -102,9 +102,9 @@ class HollowStructure:
     def sharp_coords(self, x):
         return self.adapted(x)[self.torus_rank:]
 
-    def torus_differentials(self, bound=None):
+    def torus_differentials(self):
         return LogDifferentials(self.torus_monoid,
-                                MonoidIdeal(self.torus_monoid, ()), bound=bound)
+                                MonoidIdeal(self.torus_monoid, ()))
 
 
 def _torus_monoid(t):
@@ -156,7 +156,7 @@ class Splitting:
                      self.monomial_part, self.unit_part))
 
 
-def splitting_cover(P: AffineMonoid, bound=None):
+def splitting_cover(P: AffineMonoid):
     """The splitting-scheme component over the closed stratum of a sharp P.
 
     Returns (monoid, ideal, structure, universal, obvious): the hollow
@@ -176,7 +176,7 @@ def splitting_cover(P: AffineMonoid, bound=None):
     Q = AffineMonoid(gens, ambient_rank=2 * d)
     KQ = MonoidIdeal(Q, [tuple(g) + (0,) * d for g in P.generators],
                      validate=False)
-    hs = HollowStructure(Q, KQ, bound=bound)
+    hs = HollowStructure(Q, KQ)
     # express the intrinsic map in the adapted coordinates: the j-th sharp
     # basis vector is the class of some (a, b); the universal character of
     # that class is a's own copy in the torus half, corrected for the
@@ -222,7 +222,7 @@ def _adapted_components(conn: LogConnection, hs: HollowStructure):
 
 
 def _pullbacks(conn: LogConnection, hs: HollowStructure, splittings,
-               require_flat=False, bound=None):
+               require_flat=False):
     """The pullback of conn along each splitting, and the residues, all in
     torus coordinates, from one set of adapted components."""
     if conn.monoid != hs.monoid or conn.ideal != hs.ideal:
@@ -234,7 +234,7 @@ def _pullbacks(conn: LogConnection, hs: HollowStructure, splittings,
     def in_torus(mat):
         return [[x.map_exponents(hs.unit_coords) for x in row] for row in mat]
 
-    tdiff = hs.torus_differentials(bound=bound)
+    tdiff = hs.torus_differentials()
     bases = [LogConnection(tdiff, [
         in_torus(combine([torus[i]] + sharp,
                          [1] + [row[i] for row in eps.monomial_part]))
@@ -243,16 +243,15 @@ def _pullbacks(conn: LogConnection, hs: HollowStructure, splittings,
     return bases, [in_torus(mat) for mat in sharp]
 
 
-def eps_pullback(conn: LogConnection, eps: Splitting, require_flat=True,
-                 bound=None) -> LogConnection:
+def eps_pullback(conn: LogConnection, eps: Splitting,
+                 require_flat=True) -> LogConnection:
     """Classical connection on the unit torus induced by a splitting.
 
     Substitutes dlog of each log direction by its unit part plus the
     splitting's torus character; satisfies the universal-splitting identity
     (the pullback of dlog(p) is dlog of p's own character).
     """
-    return _pullbacks(conn, eps.structure, [eps], require_flat,
-                      bound=bound)[0][0]
+    return _pullbacks(conn, eps.structure, [eps], require_flat)[0][0]
 
 
 def residue_components(conn: LogConnection, hs: HollowStructure):
@@ -261,8 +260,7 @@ def residue_components(conn: LogConnection, hs: HollowStructure):
     return _pullbacks(conn, hs, ())[1]
 
 
-def splitting_delta(eps0: Splitting, eps1: Splitting, conn: LogConnection,
-                    bound=None):
+def splitting_delta(eps0: Splitting, eps1: Splitting, conn: LogConnection):
     """The difference map of two splittings plus its defining identity.
 
     Returns (delta, ok): delta is the integer matrix of the linear map
@@ -276,7 +274,7 @@ def splitting_delta(eps0: Splitting, eps1: Splitting, conn: LogConnection,
         raise ModelMismatch("splittings live on different models")
     delta = tuple(tuple(a - b for a, b in zip(r0, r1))
                   for r0, r1 in zip(eps0.monomial_part, eps1.monomial_part))
-    (p0, p1), rhos = _pullbacks(conn, hs, [eps0, eps1], True, bound=bound)
+    (p0, p1), rhos = _pullbacks(conn, hs, [eps0, eps1], True)
     ok = all(x.is_zero() for i in range(hs.torus_rank)
              for row in combine([p0.omega[i], p1.omega[i]] + rhos,
                                 [1, -1] + [-d[i] for d in delta])

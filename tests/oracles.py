@@ -61,12 +61,48 @@ def brute_force_faces(P, bound=8):
     return out
 
 
-def brute_force_radical_membership(P, K, x, nmax=8, bound=None):
+def brute_force_radical_membership(P, K, x, nmax=8):
     """x in sqrt(K) iff n*x in K for some 1 <= n <= nmax."""
     for n in range(1, nmax + 1):
         nx = tuple(n * c for c in x)
-        if K.contains(nx, bound=bound):
+        if K.contains(nx):
             return True
+    return False
+
+
+def box_search_contains(P, x, bound):
+    """Is x in P?  Depth-first search from x that subtracts generators and
+    keeps every intermediate vector in the box |y_i| <= bound.
+
+    A True answer is a representation.  A False answer is complete only
+    when the box holds every partial remainder of some representation of
+    x, so callers pass a bound well beyond their vectors.
+    """
+    x = tuple(x)
+    d = len(x)
+    zero = (0,) * d
+    has_neg = [any(g[i] < 0 for g in P.generators) for i in range(d)]
+    has_pos = [any(g[i] > 0 for g in P.generators) for i in range(d)]
+
+    def feasible(y):
+        # a coordinate of fixed sign can only be cleared by a generator
+        # with a coordinate of the opposite sign
+        return all(not (c < 0 and not has_neg[i]) and
+                   not (c > 0 and not has_pos[i]) for i, c in enumerate(y))
+
+    seen = set()
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        if y == zero:
+            return True
+        if y in seen or not feasible(y):
+            continue
+        seen.add(y)
+        for g in P.generators:
+            z = tuple(a - b for a, b in zip(y, g))
+            if z not in seen and all(abs(c) <= bound for c in z):
+                stack.append(z)
     return False
 
 

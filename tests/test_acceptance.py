@@ -93,7 +93,7 @@ def test_criterion_02_face_radical_oracles():
     ]
     for P, kgens in ideal_cases:
         K = MonoidIdeal(P, kgens)
-        rad = radical(P, K, bound=5)
+        rad = radical(P, K)
         for x in sorted(P.elements_in_box(4)):
             ok = ok and rad.contains(x) == \
                 brute_force_radical_membership(P, K, x, nmax=10)

@@ -174,15 +174,15 @@ def test_radical_examples():
     K = MonoidIdeal(N, [(2,)])
     assert radical(N, K).generators == ((1,),)
     K2 = MonoidIdeal(N2, [(2, 0), (0, 3)])
-    assert set(radical(N2, K2, bound=6).generators) == {(1, 0), (0, 1)}
+    assert set(radical(N2, K2).generators) == {(1, 0), (0, 1)}
     K0 = MonoidIdeal(N2, [])
     assert radical(N2, K0).generators == ()
 
 
 def test_radical_properties():
     K = MonoidIdeal(N2, [(2, 0), (0, 3)])
-    rad = radical(N2, K, bound=6)
-    rad2 = radical(N2, rad, bound=6)
+    rad = radical(N2, K)
+    rad2 = radical(N2, rad)
     assert set(rad2.generators) == set(rad.generators)
     # K inside sqrt(K), and box agreement with the direct n*x scan
     for x in sorted(N2.elements_in_box(5)):
@@ -207,19 +207,20 @@ def test_classify_mixed_units():
 
 def test_sharpness_and_saturation_queries():
     assert N2.is_sharp() and not Z.is_sharp()
-    assert N2.is_saturated() and P112.is_saturated()
-    assert not AffineMonoid([(2,), (3,)]).is_saturated()
+    # saturation is exact: <(2,0),(0,1),(1,2)> misses (1,1), whose double
+    # is in it; <(2,0),(-2,0),(1,1),(0,1)> misses (1,0); <(2,0),(1,1),(0,2)>
+    # and <2> are saturated in their index-2 groups
+    for gens in ([(2,), (3,)], [(2, 0), (0, 1), (1, 2)],
+                 [(2, 0), (-2, 0), (1, 1), (0, 1)], [(2, 0), (3, 0), (0, 1)]):
+        assert not AffineMonoid(gens).is_saturated(), gens
+    for P in (N2, P112, Z, AffineMonoid([(2,)]),
+              AffineMonoid([(2, 0), (1, 1), (0, 2)]),
+              AffineMonoid([(1, 0), (0, 1), (0, -1)]),
+              AffineMonoid([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]),
+              AffineMonoid((), ambient_rank=2)):
+        assert P.is_saturated(), P
 
 
 def test_face_lattice_dot():
     dot = N2.face_lattice_dot()
     assert dot.startswith("digraph") and dot.count("->") == 4
-
-
-def test_membership_bound_is_exposed():
-    # membership is a box-bounded search; a starved bound misses elements
-    # whose witnessing path leaves the box, the default finds them
-    P = AffineMonoid([(3,), (-5,)])
-    assert P.contains((1,))            # witnessed inside the default box
-    assert not P.contains((1,), bound=2)
-    assert P.contains((1,), bound=3)   # 1 -> -2 -> 3 -> 0 stays in [-3, 3]

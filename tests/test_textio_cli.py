@@ -141,14 +141,21 @@ def test_cli_unknown_command_exit_1():
 
 @pytest.mark.parametrize("value", ["x", "", "1.5", "-1", "0"])
 def test_cli_bad_bound_is_usage_error(value):
+    # membership is exact, so no command reads --bound= any more
     r = run_cli(["faces", demo_path("quadric.txt"), "P", "--bound=" + value])
     assert r.returncode == 1
     assert r.stdout == ""
     assert "Traceback" not in r.stderr
     first, rest = r.stderr.split("\n", 1)
-    assert first == ("invalid --bound value %r: expected a positive integer"
-                     % value)
+    assert first == "unknown flag --bound=" + value
     assert rest.startswith("usage: logres")
+
+
+def test_cli_bound_flag_is_unknown():
+    r = run_cli(["radical", demo_path("quadric.txt"), "--bound=6"])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("unknown flag --bound=6\nusage: logres")
 
 
 @pytest.mark.parametrize("value", ["(a,b]", "foo", "(0,2]", "", "(0,1",
@@ -165,10 +172,29 @@ def test_cli_bad_tau_window_is_usage_error(value):
     assert rest.startswith("usage: logres")
 
 
-def test_cli_bound_flag_accepted():
-    r = run_cli(["radical", demo_path("quadric.txt"), "--bound=6"])
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["diagnostics"] == []
+@pytest.mark.parametrize("args, first", [
+    (["faces", demo_path("quadric.txt"), "P", "--tau-window=(0,1]"],
+     "flag --tau-window does not apply to faces"),
+    (["germ", "fuchs", demo_path("germs.txt"), "IRR", "--dot"],
+     "flag --dot does not apply to germ fuchs"),
+    (["radical", demo_path("quadric.txt"), "--dot"],
+     "flag --dot does not apply to radical"),
+    (["faces", demo_path("quadric.txt"), "P", "X", "Y", "Z"],
+     "too many names for faces: X Y Z"),
+    (["print", demo_path("mixed.txt"), "C"],
+     "too many names for print: C"),
+    (["canext", "extend", demo_path("canext.txt"), "V", "E", "F"],
+     "too many names for canext extend: F"),
+], ids=["tau-window-faces", "dot-germ-fuchs", "dot-radical",
+        "names-faces", "names-print", "names-canext-extend"])
+def test_cli_unread_flag_or_surplus_name_is_usage_error(args, first):
+    r = run_cli(args)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    line, rest = r.stderr.split("\n", 1)
+    assert line == first
+    assert rest.startswith("usage: logres")
 
 
 def test_cli_tau_window_flag_has_no_short_alias():
