@@ -1,6 +1,17 @@
 """Command-line interface: parse a declaration document, dispatch to the
 library, and emit a deterministic JSON (or DOT) report.
 
+    logres <command> <document> [names...] [documents...] [flags]
+
+`_COMMANDS` states once what each command takes: the inputs it reads,
+in order, its help text and its handler.  The usage text, the two-word
+command groups, the most names a command takes and the flags it reads
+all follow from it.  After the document, an argument that is a
+declaration name (an identifier, as the document lexer reads one) names
+the next input; any other argument is a further document, read after the
+first.  An input given no name is the document's first declaration of
+its kind.
+
 Exit codes: 0 success, 1 usage, 2 domain error (including missing files),
 3 parse error.
 """
@@ -12,38 +23,11 @@ import sys
 
 from .errors import LogresError, ParseError
 from .field import format_scalar
-from .textio import (_fmt_mp_matrix, _fmt_ratfunc, parse_document,
+from .textio import (_fmt_mp_matrix, _fmt_ratfunc, _lex, parse_document,
                      print_document)
 
 # Each command handler imports the library functions it calls, so a
 # command loads (and, without cached bytecode, compiles) only its modules.
-
-USAGE = """usage: logres <command> <document> [names...] [flags]
-
-commands:
-  faces DOC [P]                       face lattice of a monoid
-  strata DOC [P [K]]                  stratification descriptors
-  classify DOC [P [K]]                locally-constant / hollow flags
-  radical DOC [P [K]]                 radical of an ideal
-  flat DOC [C]                        integrability of a connection
-  higgs DOC [C [S]]                   Higgs decomposition under a splitting
-  rh to-lobject DOC [C]               graded module of a constant connection
-  rh from-lobject DOC [V]             connection of a graded module
-  canext restrict DOC [V [E]]         restriction across the embedding
-  canext extend DOC [V [E]]           canonical extension (uses tau)
-  canext exponents DOC [V [E]]        exponents at infinity report
-  germ fuchs DOC [G]                  regular-singularity test
-  germ pullback DOC [C [M]]           pullback along a curve germ
-  germ tensor DOC [G1 G2]             tensor product of germs
-  cohomology koszul DOC [W]           Koszul dims of a local system
-  cohomology derham DOC [C [S]]       de Rham dims by characters
-  cohomology compare DOC [C [S]]      three-sided comparison report
-  locsys roundtrip DOC [W]            local-system round trip
-  print DOC                           canonical reprint of the document
-
-flags: --dot (faces, strata, print); --tau-window="(a,b]" with b = a+1
-(canext extend, canext exponents, cohomology compare, locsys roundtrip)
-"""
 
 
 def main(argv=None) -> int:
@@ -57,72 +41,49 @@ def main(argv=None) -> int:
             value = a.split("=", 1)[1]
             flags["--tau-window"] = _window_start(value)
             if flags["--tau-window"] is None:
-                sys.stderr.write("invalid --tau-window value %r: expected "
-                                 "(a,b] with b = a+1\n" % value)
-                sys.stderr.write(USAGE)
-                return 1
+                return _usage_error("invalid --tau-window value %r: expected "
+                                    "(a,b] with b = a+1" % value)
         elif a.startswith("--"):
-            sys.stderr.write("unknown flag %s\n" % a)
-            sys.stderr.write(USAGE)
-            return 1
+            return _usage_error("unknown flag %s" % a)
         else:
             args.append(a)
     if not args:
-        sys.stderr.write(USAGE)
-        return 1
+        return _usage_error()
     command = args.pop(0)
-    if command in ("rh", "canext", "germ", "cohomology", "locsys"):
+    if command in _GROUPS:
         if not args:
-            sys.stderr.write(USAGE)
-            return 1
+            return _usage_error()
         command = command + " " + args.pop(0)
     if command not in _COMMANDS:
-        sys.stderr.write("unknown command %r\n" % command)
-        sys.stderr.write(USAGE)
-        return 1
-    handler, max_names, reads = _COMMANDS[command]
+        return _usage_error("unknown command %r" % command)
+    inputs, _, handler = _COMMANDS[command]
+    reads = [flag for kind, (flag, _) in _FLAGS.items() if kind in inputs]
     unread = [f for f in flags if f not in reads]
     if unread:
-        sys.stderr.write("flag %s does not apply to %s\n"
-                         % (unread[0], command))
-        sys.stderr.write(USAGE)
-        return 1
+        return _usage_error("flag %s does not apply to %s"
+                            % (unread[0], command))
     if not args:
-        sys.stderr.write(USAGE)
-        return 1
+        return _usage_error()
     path = args.pop(0)
-    # further positional arguments naming existing files are concatenated
-    # before parsing, so inputs may be split across documents (e.g. a
-    # connection file plus a germ-map file referring to its model)
-    import os
-
-    extras = [a for a in args if os.path.exists(a)]
-    for extra in extras:
-        args.remove(extra)
-    if len(args) > max_names:
-        sys.stderr.write("too many names for %s: %s\n"
-                         % (command, " ".join(args[max_names:])))
-        sys.stderr.write(USAGE)
-        return 1
+    # a name is an identifier; anything else is a further document,
+    # concatenated after the first (e.g. a germ map referring to the model
+    # of a connection in another file)
+    names, paths = [], [path]
+    for a in args:
+        (names if _is_name(a) else paths).append(a)
+    surplus = names[sum(kind in _LETTERS for kind in inputs):]
+    if surplus:
+        return _usage_error("too many names for %s: %s"
+                            % (command, " ".join(surplus)))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = "\n".join(_read(p) for p in paths)
     except OSError as e:
         _emit_error(command, path, "FileNotFound: %s" % e)
         return 2
-    for extra in extras:
-        with open(extra, "r", encoding="utf-8") as fh:
-            text = text + "\n" + fh.read()
     try:
         doc = parse_document(text)
-    except ParseError as e:
-        _emit_error(command, path, "ParseError: %s" % e)
-        return 3
-    except LogresError as e:
-        _emit_error(command, path, "%s: %s" % (type(e).__name__, e))
-        return 2
-    try:
-        result, names, dot = handler(doc, args, flags)
+        names, objects = _resolve(doc, command, names, flags)
+        result, dot = handler(*objects)
     except ParseError as e:
         _emit_error(command, path, "ParseError: %s" % e)
         return 3
@@ -141,32 +102,73 @@ def main(argv=None) -> int:
     return 0
 
 
+def _usage_error(message=None):
+    if message:
+        sys.stderr.write(message + "\n")
+    sys.stderr.write(USAGE)
+    return 1
+
+
 def _emit_error(command, path, message):
     report = {"command": command, "inputs": [path], "result": None,
               "diagnostics": [message]}
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
-def _take(doc, args, kind, what):
-    if args:
-        name = args.pop(0)
-        return name, doc.get(name, kind)
-    name, value = doc.first_of(kind)
-    if value is None:
-        raise KeyError("document declares no %s (%s)" % (kind, what))
-    return name, value
+def _read(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
-def _take_optional_ideal(doc, args, monoid):
-    from .monoids import MonoidIdeal
+def _is_name(arg):
+    """Is arg one declaration name, as the document lexer reads it?"""
+    try:
+        toks = _lex(arg)
+    except ParseError:
+        return False
+    return len(toks) == 2 and toks[0].kind == "NAME" and toks[0].text == arg
 
-    if args:
-        name = args.pop(0)
-        return name, doc.get(name, "ideal")
-    name, value = doc.first_of("ideal")
-    if value is None or value.monoid != monoid:
-        return "(empty)", MonoidIdeal(monoid, ())
-    return name, value
+
+def _resolve(doc, command, names, flags):
+    """(report names, objects) for the inputs of command, in order.
+
+    A named input takes the next of names (checked to be of its kind),
+    else the document's first declaration of its kind.  "ideal?" falls
+    back to the empty ideal when the first declared ideal is not one of
+    the preceding monoid; "tau" is --tau-window=, else the document's
+    first tau, else the default window; "document" is the document.
+    """
+    names = list(names)
+    taken, objects = [], []
+    for kind in _COMMANDS[command][0]:
+        if kind == "document":
+            objects.append(doc)
+        elif kind == "tau":
+            from .canext import TauSection
+
+            if "--tau-window" in flags:
+                objects.append(TauSection(flags["--tau-window"]))
+            else:
+                tau = doc.first_of("tau")[1]
+                objects.append(TauSection() if tau is None else tau)
+        elif kind in _LETTERS:
+            wanted = kind.rstrip("?")
+            if names:
+                name = names.pop(0)
+                value = doc.get(name, wanted)
+            else:
+                name, value = doc.first_of(wanted)
+                if kind == "ideal?" and (value is None
+                                         or value.monoid != objects[-1]):
+                    from .monoids import MonoidIdeal
+
+                    name, value = "(empty)", MonoidIdeal(objects[-1], ())
+                elif value is None:
+                    raise KeyError("document declares no %s (%s)"
+                                   % (kind, command))
+            taken.append(name)
+            objects.append(value)
+    return taken, objects
 
 
 def _window_start(text):
@@ -182,15 +184,6 @@ def _window_start(text):
     except (ValueError, ZeroDivisionError):
         return None
     return lo if hi - lo == 1 else None
-
-
-def _tau_from(doc, flags):
-    from .canext import TauSection
-
-    if "--tau-window" in flags:
-        return TauSection(flags["--tau-window"])
-    name, value = doc.first_of("tau")
-    return value if value is not None else TauSection()
 
 
 # -- serializers ---------------------------------------------------------------
@@ -223,23 +216,21 @@ def _ser_germ(g):
     return [[_fmt_ratfunc(x) for x in row] for row in g.theta_matrix]
 
 
-# -- command handlers ----------------------------------------------------------
+# -- command handlers: the resolved inputs -> (result, DOT text or None) ------
 
-def _cmd_faces(doc, args, flags):
+def _cmd_faces(P):
     from .monoids import faces
 
-    name, P = _take(doc, args, "monoid", "faces")
-    out = [{"indices": sorted(f.generator_indices),
-            "span": [list(v) for v in f.span],
-            "group_rank": f.group_rank()} for f in faces(P)]
-    return out, [name], P.face_lattice_dot()
+    return ([{"indices": sorted(f.generator_indices),
+              "span": [list(v) for v in f.span],
+              "group_rank": f.group_rank()} for f in faces(P)],
+            P.face_lattice_dot())
 
 
-def _cmd_strata(doc, args, flags):
+def _cmd_strata(P, K):
+    from .monoids import covering_pairs
     from .strata import strata_decomposition
 
-    pname, P = _take(doc, args, "monoid", "strata")
-    kname, K = _take_optional_ideal(doc, args, P)
     sd = strata_decomposition(P, K)
     out = [{"face": sorted(s.face.generator_indices),
             "torus_rank": s.torus_rank,
@@ -247,13 +238,6 @@ def _cmd_strata(doc, args, flags):
             "sharp_fiber_rank": s.sharp_fiber_rank,
             "induced_ideal": [list(k) for k in s.induced_ideal.generators]}
            for s in sd]
-    dot = _strata_dot(sd)
-    return out, [pname, kname], dot
-
-
-def _strata_dot(sd):
-    from .monoids import covering_pairs
-
     lines = ["digraph strata {"]
     for i, s in enumerate(sd):
         lines.append('  s%d [label="F=%s (%d,%d)"];' % (
@@ -261,40 +245,31 @@ def _strata_dot(sd):
     for i, j in covering_pairs([s.face.generator_indices for s in sd]):
         lines.append("  s%d -> s%d;" % (i, j))
     lines.append("}")
-    return "\n".join(lines)
+    return out, "\n".join(lines)
 
 
-def _cmd_classify(doc, args, flags):
+def _cmd_classify(P, K):
     from .monoids import classify_model
 
-    pname, P = _take(doc, args, "monoid", "classify")
-    kname, K = _take_optional_ideal(doc, args, P)
     mc = classify_model(P, K)
-    return ({"locally_constant": mc.locally_constant, "hollow": mc.hollow},
-            [pname, kname], None)
+    return {"locally_constant": mc.locally_constant, "hollow": mc.hollow}, None
 
 
-def _cmd_radical(doc, args, flags):
+def _cmd_radical(P, K):
     from .monoids import radical
 
-    pname, P = _take(doc, args, "monoid", "radical")
-    kname, K = _take_optional_ideal(doc, args, P)
-    rad = radical(P, K)
-    return ([list(g) for g in rad.generators], [pname, kname], None)
+    return [list(g) for g in radical(P, K).generators], None
 
 
-def _cmd_flat(doc, args, flags):
+def _cmd_flat(c):
     from .connections import is_flat
 
-    name, c = _take(doc, args, "connection", "flat")
-    return {"flat": is_flat(c)}, [name], None
+    return {"flat": is_flat(c)}, None
 
 
-def _cmd_higgs(doc, args, flags):
+def _cmd_higgs(c, s):
     from .rh import higgs_conditions, higgs_decompose
 
-    cname, c = _take(doc, args, "connection", "higgs")
-    sname, s = _take(doc, args, "splitting", "higgs")
     c1, c2, c3, base, rhos = higgs_conditions(c, s)
     result = {"conditions": {"base_integrable": c1, "residues_commute": c2,
                              "residues_horizontal": c3},
@@ -303,161 +278,173 @@ def _cmd_higgs(doc, args, flags):
         hd = higgs_decompose(c, s)
         result["base"] = _ser_connection(hd.base)
         result["residues"] = [_fmt_mp_matrix(rho) for rho in hd.residues]
-    return result, [cname, sname], None
+    return result, None
 
 
-def _cmd_to_lobject(doc, args, flags):
+def _cmd_to_lobject(c):
     from .rh import to_lobject
 
-    name, c = _take(doc, args, "connection", "rh to-lobject")
-    V = to_lobject(c)
-    return _ser_lobject(V), [name], None
+    return _ser_lobject(to_lobject(c)), None
 
 
-def _cmd_from_lobject(doc, args, flags):
+def _cmd_from_lobject(V):
     from .rh import from_lobject
 
-    name, V = _take(doc, args, "lobject", "rh from-lobject")
-    c = from_lobject(V)
-    return _ser_connection(c), [name], None
+    return _ser_connection(from_lobject(V)), None
 
 
-def _take_embedding(doc, args):
-    if args:
-        name = args.pop(0)
-        return name, doc.get(name, "embedding")
-    name, value = doc.first_of("embedding")
-    if value is None:
-        raise KeyError("document declares no embedding")
-    return name, value
-
-
-def _cmd_canext_restrict(doc, args, flags):
+def _cmd_canext_restrict(V, E):
     from .canext import restrict
 
-    vname, V = _take(doc, args, "lobject", "canext restrict")
-    ename, E = _take_embedding(doc, args)
-    out = restrict(E, V)
-    return _ser_lobject(out), [vname, ename], None
+    return _ser_lobject(restrict(E, V)), None
 
 
-def _cmd_canext_extend(doc, args, flags):
+def _cmd_canext_extend(V, E, tau):
     from .canext import canonical_extension
 
-    vname, V = _take(doc, args, "lobject", "canext extend")
-    ename, E = _take_embedding(doc, args)
-    tau = _tau_from(doc, flags)
     out, shifts = canonical_extension(E, V, tau)
     return ({"object": _ser_lobject(out),
-             "shifts": [list(s) for s in shifts]}, [vname, ename], None)
+             "shifts": [list(s) for s in shifts]}, None)
 
 
-def _cmd_canext_exponents(doc, args, flags):
+def _cmd_canext_exponents(V, E, tau):
     from .canext import exponents_report
 
-    vname, V = _take(doc, args, "lobject", "canext exponents")
-    ename, E = _take_embedding(doc, args)
-    tau = _tau_from(doc, flags)
     rep = exponents_report(E, V, tau)
     return ({"exponents": [[format_scalar(x) for x in e]
                            for e in rep.exponents],
-             "adapted": rep.adapted}, [vname, ename], None)
+             "adapted": rep.adapted}, None)
 
 
-def _cmd_germ_fuchs(doc, args, flags):
+def _cmd_germ_fuchs(g):
     from .germs import is_fuchsian
 
-    name, g = _take(doc, args, "germ", "germ fuchs")
-    return {"fuchsian": is_fuchsian(g)}, [name], None
+    return {"fuchsian": is_fuchsian(g)}, None
 
 
-def _cmd_germ_pullback(doc, args, flags):
+def _cmd_germ_pullback(c, m):
     from .germs import pullback_germ
 
-    cname, c = _take(doc, args, "connection", "germ pullback")
-    mname, m = _take(doc, args, "germmap", "germ pullback")
-    g = pullback_germ(c, m)
-    return {"theta": _ser_germ(g)}, [cname, mname], None
+    return {"theta": _ser_germ(pullback_germ(c, m))}, None
 
 
-def _cmd_germ_tensor(doc, args, flags):
+def _cmd_germ_tensor(g1, g2):
     from .germs import germ_tensor
 
-    n1, g1 = _take(doc, args, "germ", "germ tensor")
-    n2, g2 = _take(doc, args, "germ", "germ tensor")
-    return {"theta": _ser_germ(germ_tensor(g1, g2))}, [n1, n2], None
+    return {"theta": _ser_germ(germ_tensor(g1, g2))}, None
 
 
-def _cmd_koszul(doc, args, flags):
+def _cmd_koszul(W):
     from .cohomology import KoszulInput, koszul_cohomology
 
-    name, W = _take(doc, args, "localsystem", "cohomology koszul")
-    dims = koszul_cohomology(KoszulInput(blocks=W.blocks,
-                                         num_operators=W.num_generators))
-    return {"dims": dims}, [name], None
+    return {"dims": koszul_cohomology(KoszulInput(
+        blocks=W.blocks, num_operators=W.num_generators))}, None
 
 
-def _cmd_derham(doc, args, flags):
+def _cmd_derham(c, s):
     from .cohomology import torus_de_rham
 
-    cname, c = _take(doc, args, "connection", "cohomology derham")
-    sname, s = _take(doc, args, "splitting", "cohomology derham")
-    return {"dims": torus_de_rham(c, s)}, [cname, sname], None
+    return {"dims": torus_de_rham(c, s)}, None
 
 
-def _cmd_compare(doc, args, flags):
+def _cmd_compare(c, s, tau):
     from .cohomology import comparison_report
 
-    cname, c = _take(doc, args, "connection", "cohomology compare")
-    sname, s = _take(doc, args, "splitting", "cohomology compare")
-    tau = _tau_from(doc, flags)
     rep = comparison_report(c, s, tau)
     return ({"deRham": list(rep.de_rham), "groupV0": list(rep.group_v0),
              "localSystem": list(rep.local_system), "adapted": rep.adapted,
              "deRham_equals_groupV0": rep.de_rham_equals_group,
              "groupV0_equals_localSystem": rep.group_equals_local_system},
-            [cname, sname], None)
+            None)
 
 
-def _cmd_locsys_roundtrip(doc, args, flags):
+def _cmd_locsys_roundtrip(W, tau):
     from .cohomology import local_system_round_trip
 
-    name, W = _take(doc, args, "localsystem", "locsys roundtrip")
-    tau = _tau_from(doc, flags)
     V, Wb = local_system_round_trip(W, tau)
-    return ({"object": _ser_lobject(V),
-             "identity": Wb == W.sorted_blocks()}, [name], None)
+    return {"object": _ser_lobject(V),
+            "identity": Wb == W.sorted_blocks()}, None
 
 
-def _cmd_print(doc, args, flags):
+def _cmd_print(doc):
     text = print_document(doc)
-    return {"text": text}, [], text
+    return {"text": text}, text
 
 
-# command -> (handler, the most names it takes, the flags it reads)
-_DOT = ("--dot",)
-_TAU = ("--tau-window",)
+# command -> (inputs, help, handler).  The inputs are document kinds, each
+# given by name or else the first of its kind, plus "ideal?" (an ideal of
+# the monoid before it, by default its first declared ideal or else the
+# empty one), "tau" (read from --tau-window=), "document" (the document
+# itself) and the mark "dot" (the command reads --dot).
 _COMMANDS = {
-    "faces": (_cmd_faces, 1, _DOT),
-    "strata": (_cmd_strata, 2, _DOT),
-    "classify": (_cmd_classify, 2, ()),
-    "radical": (_cmd_radical, 2, ()),
-    "flat": (_cmd_flat, 1, ()),
-    "higgs": (_cmd_higgs, 2, ()),
-    "rh to-lobject": (_cmd_to_lobject, 1, ()),
-    "rh from-lobject": (_cmd_from_lobject, 1, ()),
-    "canext restrict": (_cmd_canext_restrict, 2, ()),
-    "canext extend": (_cmd_canext_extend, 2, _TAU),
-    "canext exponents": (_cmd_canext_exponents, 2, _TAU),
-    "germ fuchs": (_cmd_germ_fuchs, 1, ()),
-    "germ pullback": (_cmd_germ_pullback, 2, ()),
-    "germ tensor": (_cmd_germ_tensor, 2, ()),
-    "cohomology koszul": (_cmd_koszul, 1, ()),
-    "cohomology derham": (_cmd_derham, 2, ()),
-    "cohomology compare": (_cmd_compare, 2, _TAU),
-    "locsys roundtrip": (_cmd_locsys_roundtrip, 1, _TAU),
-    "print": (_cmd_print, 0, _DOT),
+    "faces": (("monoid", "dot"), "face lattice of a monoid", _cmd_faces),
+    "strata": (("monoid", "ideal?", "dot"), "stratification descriptors",
+               _cmd_strata),
+    "classify": (("monoid", "ideal?"), "locally-constant / hollow flags",
+                 _cmd_classify),
+    "radical": (("monoid", "ideal?"), "radical of an ideal", _cmd_radical),
+    "flat": (("connection",), "integrability of a connection", _cmd_flat),
+    "higgs": (("connection", "splitting"),
+              "Higgs decomposition under a splitting", _cmd_higgs),
+    "rh to-lobject": (("connection",),
+                      "graded module of a constant connection",
+                      _cmd_to_lobject),
+    "rh from-lobject": (("lobject",), "connection of a graded module",
+                        _cmd_from_lobject),
+    "canext restrict": (("lobject", "embedding"),
+                        "restriction across the embedding",
+                        _cmd_canext_restrict),
+    "canext extend": (("lobject", "embedding", "tau"), "canonical extension",
+                      _cmd_canext_extend),
+    "canext exponents": (("lobject", "embedding", "tau"),
+                         "exponents at infinity report",
+                         _cmd_canext_exponents),
+    "germ fuchs": (("germ",), "regular-singularity test", _cmd_germ_fuchs),
+    "germ pullback": (("connection", "germmap"),
+                      "pullback along a curve germ", _cmd_germ_pullback),
+    "germ tensor": (("germ", "germ"), "tensor product of germs",
+                    _cmd_germ_tensor),
+    "cohomology koszul": (("localsystem",), "Koszul dims of a local system",
+                          _cmd_koszul),
+    "cohomology derham": (("connection", "splitting"),
+                          "de Rham dims by characters", _cmd_derham),
+    "cohomology compare": (("connection", "splitting", "tau"),
+                           "three-sided comparison report", _cmd_compare),
+    "locsys roundtrip": (("localsystem", "tau"), "local-system round trip",
+                         _cmd_locsys_roundtrip),
+    "print": (("document", "dot"), "canonical reprint of the document",
+              _cmd_print),
 }
+# the placeholder of each input given by name
+_LETTERS = {"monoid": "P", "ideal?": "K", "connection": "C",
+            "splitting": "S", "lobject": "V", "embedding": "E", "germ": "G",
+            "germmap": "M", "localsystem": "W"}
+# the input that marks a flag -> (the flag, how the usage shows it)
+_FLAGS = {"dot": ("--dot", "--dot"),
+          "tau": ("--tau-window", '--tau-window="(a,b]" with b = a+1')}
+_GROUPS = {command.split()[0] for command in _COMMANDS if " " in command}
+
+
+def _usage():
+    lines = ["usage: logres <command> <document> [names...] [flags]", "",
+             "A name is an identifier; it picks the declaration of the next "
+             "input,",
+             "else the first of its kind is used.  Any other argument after "
+             "<document>",
+             "is a further document, read after it.", "", "commands:"]
+    for command, (inputs, help_text, _) in _COMMANDS.items():
+        letters = [_LETTERS[kind] for kind in inputs if kind in _LETTERS]
+        shape = "".join(" [" + x for x in letters) + "]" * len(letters)
+        lines.append("  %-35s %s" % (command + " DOC" + shape, help_text))
+    lines += ["", "flags:"]
+    for kind, (_, shown) in _FLAGS.items():
+        lines += ["  " + shown, "      " + ", ".join(
+            command for command, (inputs, _, _) in _COMMANDS.items()
+            if kind in inputs)]
+    return "\n".join(lines) + "\n"
+
+
+USAGE = _usage()
 
 
 if __name__ == "__main__":

@@ -70,6 +70,7 @@ class AffineMonoid:
         self._facet_list = None
         self._faces = None
         self._membership = None
+        self._group_basis = None
 
     def __eq__(self, other):
         return (isinstance(other, AffineMonoid)
@@ -87,8 +88,9 @@ class AffineMonoid:
     def contains(self, x):
         """Is x a nonnegative integer combination of the generators?
 
-        Exact.  The units of P are the group L spanned by the generators
-        on which every facet functional vanishes.  A search over classes
+        Exact.  x must pass every facet functional and lie in P^gp.  The
+        units of P are the group L spanned by the generators on which every
+        facet functional vanishes.  A search over classes
         modulo L (canonical representatives from L's Hermite basis) starts
         at x, subtracts non-unit generators, and keeps a class only where
         every facet functional is >= 0; x is in P iff it reaches 0.
@@ -114,26 +116,21 @@ class AffineMonoid:
     def _search(self, x):
         functionals, units, steps = self._membership_data()
 
-        def reduce(y):  # the canonical representative modulo the units
-            for c, p, row in units:
-                q = y[c] // p
-                if q:
-                    y = tuple(a - q * b for a, b in zip(y, row))
-            return y
-
         def admissible(y):
             return all(sum(map(mul, f, y)) >= 0 for f in functionals)
 
+        if not admissible(x) or not self.in_group(x):
+            return False
         zero = (0,) * self.ambient_rank
-        start = reduce(x)
+        start = _reduce(x, units)
         seen = {start}
-        stack = [start] if admissible(x) else []
+        stack = [start]
         while stack:
             y = stack.pop()
             if y == zero:
                 return True
             for g in steps:
-                z = reduce(tuple(map(sub, y, g)))
+                z = _reduce(tuple(map(sub, y, g)), units)
                 if z not in seen and admissible(z):
                     seen.add(z)
                     stack.append(z)
@@ -147,11 +144,10 @@ class AffineMonoid:
             facets = self._facets()
             units = frozenset(range(len(self.generators))).intersection(
                 *(idx for idx, _ in facets))
-            basis = hnf_rows([self.generators[j] for j in sorted(units)])
             self._membership = (
                 [f for _, f in facets],
-                [(next(c for c, v in enumerate(row) if v),
-                  next(v for v in row if v), row) for row in basis],
+                _pivoted(hnf_rows([self.generators[j]
+                                   for j in sorted(units)])),
                 [g for j, g in enumerate(self.generators) if j not in units])
         return self._membership
 
@@ -170,15 +166,19 @@ class AffineMonoid:
         return seen
 
     def group_basis(self):
-        """Rows forming a lattice basis of P^gp inside Z^d."""
-        return hnf_rows(self.generators)
+        """Rows forming a lattice basis of P^gp inside Z^d (its Hermite
+        form); memoised."""
+        if self._group_basis is None:
+            self._group_basis = hnf_rows(self.generators)
+        return self._group_basis
 
     def group_rank(self):
         return len(self.group_basis())
 
     def in_group(self, x):
-        """Is x in the subgroup P^gp of Z^d?"""
-        return _coords_in_basis(self.group_basis(), x) is not None
+        """Is x in the subgroup P^gp of Z^d?  Exactly when its remainder
+        modulo the Hermite basis of P^gp is 0."""
+        return not any(_reduce(x, _pivoted(self.group_basis())))
 
     # -- faces ---------------------------------------------------------------
 
@@ -446,6 +446,22 @@ class QuotientMap:
             raise ValueError("%r is not in P^gp" % (x,))
         return tuple(s * sum(r[i] * coords[i] for i in range(len(coords)))
                      for r, s in zip(self._proj, self._signs))
+
+
+def _pivoted(basis):
+    """(pivot column, pivot, row) for each row of a Hermite basis."""
+    return [(next(c for c, v in enumerate(row) if v),
+             next(v for v in row if v), row) for row in basis]
+
+
+def _reduce(y, rows):
+    """The canonical representative of y modulo the span of Hermite rows
+    given by _pivoted: 0 exactly when y lies in the span."""
+    for c, p, row in rows:
+        q = y[c] // p
+        if q:
+            y = tuple(a - q * b for a, b in zip(y, row))
+    return y
 
 
 def _coords_in_basis(basis, x):

@@ -254,12 +254,6 @@ def eps_pullback(conn: LogConnection, eps: Splitting,
     return _pullbacks(conn, eps.structure, [eps], require_flat)[0][0]
 
 
-def residue_components(conn: LogConnection, hs: HollowStructure):
-    """The sharp-direction component matrices (the Higgs residues), in
-    torus coordinates, one per sharp basis vector."""
-    return _pullbacks(conn, hs, ())[1]
-
-
 def splitting_delta(eps0: Splitting, eps1: Splitting, conn: LogConnection):
     """The difference map of two splittings plus its defining identity.
 

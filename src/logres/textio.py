@@ -106,6 +106,14 @@ class _Parser:
                              t.line, t.col, expected=(kind,))
         return self.next()
 
+    def keyword(self, word, what=None):
+        """Consume the NAME token `word`; else a ParseError at the token
+        found, "expected <what>" (default: the word quoted)."""
+        t = self.expect("NAME", "'%s'" % word)
+        if t.text != word:
+            raise ParseError("expected %s" % (what or "'%s'" % word),
+                             t.line, t.col, expected=(word,))
+
     def accept(self, kind):
         if self.peek().kind == kind:
             return self.next()
@@ -387,9 +395,7 @@ def _decl_ideal(p, doc):
 
     t = p.next()
     name = p.expect("NAME", "a name").text
-    kw = p.expect("NAME", "'in'")
-    if kw.text != "in":
-        raise ParseError("expected 'in'", kw.line, kw.col, expected=("in",))
+    p.keyword("in")
     mname = p.expect("NAME", "a monoid name").text
     p.expect("=", "'='")
     gens = p.parse_vector_list()
@@ -404,7 +410,6 @@ def _decl_ideal(p, doc):
                                  str(e)) from e
     src = "ideal %s in %s = %s" % (name, mname, _fmt_veclist(gens))
     doc.add("ideal", name, value, src, t)
-    doc.sources[name + "~monoid"] = mname
 
 
 def _decl_tau(p, doc):
@@ -413,10 +418,7 @@ def _decl_tau(p, doc):
     t = p.next()
     name = p.expect("NAME", "a name").text
     p.expect("=", "'='")
-    kw = p.expect("NAME", "'window'")
-    if kw.text != "window":
-        raise ParseError("expected 'window'", kw.line, kw.col,
-                         expected=("window",))
+    p.keyword("window")
     p.expect("(", "'('")
     lo = p.parse_rational()
     p.expect(",", "','")
@@ -434,9 +436,7 @@ def _decl_splitting(p, doc):
 
     t = p.next()
     name = p.expect("NAME", "a name").text
-    kw = p.expect("NAME", "'on'")
-    if kw.text != "on":
-        raise ParseError("expected 'on'", kw.line, kw.col, expected=("on",))
+    p.keyword("on")
     monoid, ideal, (mn, kn) = _model_ref(p, doc)
     p.expect("{", "'{'")
     monomial = None
@@ -466,9 +466,7 @@ def _decl_connection(p, doc):
 
     t = p.next()
     name = p.expect("NAME", "a name").text
-    kw = p.expect("NAME", "'on'")
-    if kw.text != "on":
-        raise ParseError("expected 'on'", kw.line, kw.col, expected=("on",))
+    p.keyword("on")
     monoid, ideal, (mn, kn) = _model_ref(p, doc)
     dim = monoid.ambient_rank
     mats = {}
@@ -494,15 +492,12 @@ def _decl_connection(p, doc):
         "; ".join("U%d = %s" % (k + 1, _fmt_mp_matrix(value.omega[k]))
                   for k in range(dim)))
     doc.add("connection", name, value, src, t)
-    doc.sources[name + "~model"] = (mn, kn)
 
 
 def _decl_lobject(p, doc):
     t = p.next()
     name = p.expect("NAME", "a name").text
-    kw = p.expect("NAME", "'over'")
-    if kw.text != "over":
-        raise ParseError("expected 'over'", kw.line, kw.col, expected=("over",))
+    p.keyword("over")
     monoid, ideal, (mn, kn) = _model_ref(p, doc)
     dim = monoid.ambient_rank
     p.expect("{", "'{'")
@@ -514,9 +509,7 @@ def _decl_lobject(p, doc):
         if key.text == "gen":
             gname = p.expect("NAME", "a generator name").text
             p.expect(":", "':'")
-            dkw = p.expect("NAME", "'deg'")
-            if dkw.text != "deg":
-                raise ParseError("expected 'deg'", dkw.line, dkw.col)
+            p.keyword("deg")
             p.expect("=", "'='")
             deg = p.parse_scalar_vector()
             if len(deg) != dim:
@@ -538,14 +531,10 @@ def _decl_lobject(p, doc):
                 rep = p.expect("NAME", "a generator name").text
                 p.expect(")", "')'")
             p.expect(":", "':'")
-            lkw = p.expect("NAME", "'label'")
-            if lkw.text != "label":
-                raise ParseError("expected 'label'", lkw.line, lkw.col)
+            p.keyword("label")
             p.expect("=", "'='")
             label = p.parse_scalar()
-            nkw = p.expect("NAME", "'nilpotent'")
-            if nkw.text != "nilpotent":
-                raise ParseError("expected 'nilpotent'", nkw.line, nkw.col)
+            p.keyword("nilpotent")
             p.expect("=", "'='")
             nil = p.parse_scalar_matrix()
             gamma_blocks[(k, rep)] = (label, nil)
@@ -557,8 +546,6 @@ def _decl_lobject(p, doc):
     value = _assemble_lobject(p, monoid, ideal, gens, gamma_blocks, couplings)
     src = _print_lobject(name, mn, kn, gens, value)
     doc.add("lobject", name, value, src, t)
-    doc.sources[name + "~model"] = (mn, kn)
-    doc.sources[name + "~gens"] = tuple(g for g, _ in gens)
 
 
 def _gamma_index(tok, dim):
@@ -627,9 +614,7 @@ def _decl_germmap(p, doc):
 
     t = p.next()
     name = p.expect("NAME", "a name").text
-    kw = p.expect("NAME", "'on'")
-    if kw.text != "on":
-        raise ParseError("expected 'on'", kw.line, kw.col, expected=("on",))
+    p.keyword("on")
     monoid, ideal, (mn, kn) = _model_ref(p, doc)
     p.expect("{", "'{'")
     face_idx = None
@@ -683,9 +668,7 @@ def _decl_embedding(p, doc):
     name = p.expect("NAME", "a name").text
     p.expect("=", "'='")
     monoid, ideal, (mn, kn) = _model_ref(p, doc)
-    x = p.expect("NAME", "'x'")
-    if x.text != "x":
-        raise ParseError("expected 'x <rank>'", x.line, x.col, expected=("x",))
+    p.keyword("x", "'x <rank>'")
     r = p.parse_int()
     value = GoodEmbeddingModel(monoid, ideal, r)
     src = "embedding %s = (%s, %s) x %d" % (name, mn, kn, r)
@@ -710,31 +693,22 @@ def _decl_localsystem(p, doc):
 
     t = p.next()
     name = p.expect("NAME", "a name").text
-    kw = p.expect("NAME", "'r'")
-    if kw.text != "r":
-        raise ParseError("expected 'r = <rank>'", kw.line, kw.col,
-                         expected=("r",))
+    p.keyword("r", "'r = <rank>'")
     p.expect("=", "'='")
     r = p.parse_int()
     p.expect("{", "'{'")
     blocks = []
     while not p.accept("}"):
-        key = p.expect("NAME", "'block'")
-        if key.text != "block":
-            p.fail("expected 'block'")
+        p.keyword("block")
         p.expect(":", "':'")
-        lkw = p.expect("NAME", "'labels'")
-        if lkw.text != "labels":
-            p.fail("expected 'labels'")
+        p.keyword("labels")
         p.expect("=", "'='")
         labels = p.parse_scalar_vector()
         if len(labels) != r:
             p.fail("need %d labels" % r)
         nils = []
         for k in range(r):
-            nkw = p.expect("NAME", "'nilpotent%d'" % (k + 1))
-            if nkw.text != "nilpotent%d" % (k + 1):
-                p.fail("expected 'nilpotent%d'" % (k + 1))
+            p.keyword("nilpotent%d" % (k + 1))
             p.expect("=", "'='")
             nils.append(p.parse_scalar_matrix())
         blocks.append((labels, nils))

@@ -1,10 +1,14 @@
 """Seeded mutation fuzz of the CLI over the demo documents.
 
-Each case mutates one document of demos/data a few times (characters,
-number tokens and whole lines), writes it to a file and runs a command on
-it through `cli.main` in this process.  Whatever the input, the CLI must
-keep its contract: exit code 0, 2 or 3, one JSON report on stdout, and no
-exception escaping.  The cases are drawn from LOGRES_SEED.
+Each case runs one command of the CLI's command table through `cli.main`
+in this process.  Most cases mutate its document of demos/data a few
+times (characters, number tokens and whole lines) and write it to a file;
+the others keep the document and mutate the argument list instead: a
+flag the command does not read, a surplus name, an unknown name, or a
+name that is also a file in the working directory.  Whatever the input,
+the CLI must keep its contract, with no exception escaping: exit 1 prints
+nothing on stdout and one line plus the usage on stderr; exit 0, 2 or 3
+prints one JSON report on stdout.  The cases are drawn from LOGRES_SEED.
 """
 
 import contextlib
@@ -19,27 +23,32 @@ from corpus import rng
 
 CASES = 500
 
-# (document, command words before the path, names after it)
-COMMANDS = [
-    ("a1.txt", ["strata"], []),
-    ("quadric.txt", ["faces"], ["P"]),
-    ("logpoint.txt", ["classify"], []),
-    ("logpoint.txt", ["flat"], []),
-    ("mixed.txt", ["higgs"], []),
-    ("logpoint.txt", ["rh", "to-lobject"], []),
-    ("canext.txt", ["canext", "extend"], ["V", "E"]),
-    ("canext.txt", ["canext", "exponents"], ["VQ", "E"]),
-    ("germs.txt", ["germ", "fuchs"], ["IRR"]),
-    ("germs.txt", ["germ", "pullback"], []),
-    ("mixed.txt", ["cohomology", "compare"], []),
-    ("locsys.txt", ["locsys", "roundtrip"], []),
-    ("locsys.txt", ["cohomology", "koszul"], []),
-    ("germs.txt", ["germ", "tensor"], ["REG", "IRR"]),
-    ("canext.txt", ["canext", "restrict"], []),
-    ("logpoint.txt", ["rh", "from-lobject"], []),
-    ("quadric.txt", ["radical"], []),
-    ("mixed.txt", ["print"], []),
-]
+# command -> (its document, a name for each of its named inputs)
+DOCUMENTS = {
+    "faces": ("quadric.txt", ["P"]),
+    "strata": ("a1.txt", ["N", "K0"]),
+    "classify": ("logpoint.txt", ["N", "KH"]),
+    "radical": ("quadric.txt", ["N2", "K"]),
+    "flat": ("logpoint.txt", ["C"]),
+    "higgs": ("mixed.txt", ["C", "S"]),
+    "rh to-lobject": ("logpoint.txt", ["C"]),
+    "rh from-lobject": ("canext.txt", ["VQ"]),
+    "canext restrict": ("canext.txt", ["VQ", "E"]),
+    "canext extend": ("canext.txt", ["V", "E"]),
+    "canext exponents": ("canext.txt", ["VQ", "E"]),
+    "germ fuchs": ("germs.txt", ["IRR"]),
+    "germ pullback": ("germs.txt", ["C", "M"]),
+    "germ tensor": ("germs.txt", ["REG", "IRR"]),
+    "cohomology koszul": ("locsys.txt", ["W"]),
+    "cohomology derham": ("mixed.txt", ["C", "S"]),
+    "cohomology compare": ("mixed.txt", ["C", "S"]),
+    "locsys roundtrip": ("locsys.txt", ["W"]),
+    "print": ("mixed.txt", []),
+}
+# (the input that makes a command read the flag, the flag); no command
+# reads --bound=
+FLAGS = [("dot", "--dot"), ("tau", "--tau-window=(0,1]"),
+         (None, "--bound=3")]
 
 ALPHABET = " \n,;[]()={}:/-+*^0123456789tix"
 NUMBERS = ["0", "1", "-1", "2", "1/2", "1/0", "i", "t", "3/t", "-2/3"]
@@ -75,16 +84,40 @@ def mutate(r, text):
     return "\n".join(lines)
 
 
+def mutate_argv(r, command, names, tmp_path):
+    """The argument list after the document, mutated in one of four
+    ways; the working directory is tmp_path."""
+    inputs = cli._COMMANDS[command][0]
+    kind = r.randrange(4)
+    if kind == 0:
+        flag = r.choice([f for k, f in FLAGS if k not in inputs])
+        return names + [flag]
+    if kind == 1 or not names:
+        return names + r.choice([["X"], ["Y", "Z"]])
+    if kind == 2:
+        i = r.randrange(len(names))
+        return names[:i] + ["NOPE"] + names[i + 1:]
+    (tmp_path / r.choice(names)).write_text("not ( a document\n")
+    return names
+
+
 def run_case(r, tmp_path):
-    """Mutate a document, run its command in-process; (argv, code, out)."""
-    doc, words, names = r.choice(COMMANDS)
+    """Run one command on a mutated document or with a mutated argument
+    list, in-process; (argv, document, code, stdout, stderr)."""
+    command = r.choice(sorted(DOCUMENTS))
+    doc, names = DOCUMENTS[command]
     with open(demo_path(doc), encoding="utf-8") as fh:
         text = fh.read()
-    for _ in range(r.randint(1, 3)):
-        text = mutate(r, text)
-    path = tmp_path / "mutated.txt"
-    path.write_text(text, encoding="utf-8")
-    argv = words + [str(path)] + names
+    if r.randrange(4):
+        for _ in range(r.randint(1, 3)):
+            text = mutate(r, text)
+        path = tmp_path / "mutated.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = (command.split() + [str(path)]
+                + names[:r.randint(0, len(names))])
+    else:
+        argv = (command.split() + [demo_path(doc)]
+                + mutate_argv(r, command, names, tmp_path))
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -92,13 +125,26 @@ def run_case(r, tmp_path):
     except Exception as e:
         raise AssertionError("%r escaped on %r with document:\n%s"
                              % (e, argv, text)) from e
-    return argv, text, code, out.getvalue()
+    return argv, text, code, out.getvalue(), err.getvalue()
 
 
-def test_cli_contract_under_mutation(tmp_path):
+def test_every_table_command_is_fuzzed():
+    assert set(DOCUMENTS) == set(cli._COMMANDS)
+
+
+def test_cli_contract_under_mutation(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     r = rng(9101)
     for _ in range(CASES):
-        argv, text, code, out = run_case(r, tmp_path)
-        assert code in (0, 2, 3), (argv, text, code, out)
+        argv, text, code, out, err = run_case(r, tmp_path)
+        case = (argv, text, code, out, err)
+        if code == 1:
+            assert out == "", case
+            line, rest = err.split("\n", 1)
+            assert line and not line.startswith("usage"), case
+            assert rest.startswith("usage: logres"), case
+            continue
+        assert code in (0, 2, 3), case
+        assert err == "", case
         report = json.loads(out)
-        assert bool(report["diagnostics"]) == (code != 0), (argv, text, out)
+        assert bool(report["diagnostics"]) == (code != 0), case

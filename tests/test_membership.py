@@ -7,6 +7,7 @@ Saturation is checked against a scan of a box for a group element
 outside P with a multiple inside P.
 """
 
+import time
 from itertools import product
 from math import gcd
 
@@ -99,6 +100,16 @@ def test_membership_exact_without_bound():
     # outside [-2, 2], where a box search at that box answers False
     P = AffineMonoid([(3,), (-5,)])
     assert all(P.contains((x,)) for x in range(-20, 21))
+
+
+def test_membership_off_the_group_is_immediate():
+    # (601, 601) is in the cone but not in P^gp = (2Z)^2: the answer needs
+    # no search of the polytope below it
+    P = AffineMonoid([(2, 0), (0, 2)])
+    start = time.perf_counter()
+    assert not P.contains((601, 601))
+    assert time.perf_counter() - start < 0.005
+    assert P.contains((600, 600))
 
 
 def box_scan_saturated(P, box=4, multiple=8):

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import shlex
 from fractions import Fraction as F
 
 import pytest
 
+from logres import cli
 from logres.errors import ParseError
 from logres.field import GaussRat
 from logres.textio import parse_document, print_document
 
-from checkout import demo_path, run_cli
+from checkout import REPO_ROOT, demo_path, run_cli
 
 SAMPLE = """# running example document
 monoid P = [[1,0],[1,1],[1,2]]
@@ -60,6 +65,18 @@ def test_parse_error_positions():
     assert e.value.line == 2 and e.value.column == 1
     with pytest.raises(ParseError):
         parse_document("tau T = window(-1,1]")
+    # a misspelt keyword is reported where it starts, not at the token
+    # after it
+    for text, column, word in [
+            ("localsystem W r=1 { blok: labels=[0] nilpotent1=[[0]] }",
+             21, "block"),
+            ("localsystem W r=1 { block: labls=[0] nilpotent1=[[0]] }",
+             28, "labels")]:
+        with pytest.raises(ParseError) as e:
+            parse_document(text)
+        assert (e.value.line, e.value.column) == (1, column)
+        assert e.value.expected == (word,)
+        assert str(e.value) == "1:%d: expected '%s'" % (column, word)
 
 
 def test_scalar_and_expression_forms():
@@ -317,6 +334,60 @@ def test_cli_concatenates_extra_document_files(tmp_path):
     assert r.returncode == 0
     out = json.loads(r.stdout)
     assert out["result"]["theta"] == [["4/3"]]
+
+
+def test_cli_missing_extra_document_exit_2(tmp_path):
+    missing = str(tmp_path / "map.txt")
+    r = run_cli(["germ", "pullback", demo_path("germs.txt"), missing])
+    assert r.returncode == 2
+    out = json.loads(r.stdout)
+    assert out["inputs"] == [demo_path("germs.txt")]
+    assert out["diagnostics"] == [
+        "FileNotFound: [Errno 2] No such file or directory: %r" % missing]
+
+
+def test_cli_missing_embedding_names_the_command(sample_path):
+    r = run_cli(["canext", "restrict", sample_path])
+    assert r.returncode == 2
+    assert json.loads(r.stdout)["diagnostics"] == [
+        "KeyError: 'document declares no embedding (canext restrict)'"]
+
+
+def main_in(directory, argv, monkeypatch):
+    """(exit code, stdout) of cli.main(argv) run in directory."""
+    monkeypatch.chdir(directory)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_cli_name_that_is_also_a_file_stays_a_name(tmp_path, monkeypatch):
+    (tmp_path / "P").write_text("monoid P = [[1,0],[0,1]]\n")
+    here = main_in(REPO_ROOT, ["faces", "demos/data/quadric.txt", "P"],
+                   monkeypatch)
+    there = main_in(tmp_path, ["faces", demo_path("quadric.txt"), "P"],
+                    monkeypatch)
+    assert here[0] == 0
+    assert there == here
+
+
+def readme_command_lines():
+    """The `logres` lines of README's command-line block, as argv."""
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("logres ")]
+
+
+def test_readme_command_lines_run(monkeypatch):
+    lines = readme_command_lines()
+    assert len(lines) >= 12
+    for argv in lines:
+        code, out = main_in(REPO_ROOT, argv, monkeypatch)
+        assert code == 0, (argv, out)
 
 
 def test_cli_germ_tensor():
