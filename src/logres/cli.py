@@ -75,11 +75,18 @@ def main(argv=None) -> int:
     if surplus:
         return _usage_error("too many names for %s: %s"
                             % (command, " ".join(surplus)))
-    try:
-        text = "\n".join(_read(p) for p in paths)
-    except OSError as e:
-        _emit_error(command, path, "FileNotFound: %s" % e)
-        return 2
+    texts = []
+    for p in paths:
+        try:
+            with open(p, "r", encoding="utf-8") as fh:
+                texts.append(fh.read())
+        except OSError as e:
+            _emit_error(command, path, "FileNotFound: %s" % e)
+            return 2
+        except UnicodeDecodeError as e:
+            _emit_error(command, path, "UnicodeDecodeError: %s: %s" % (p, e))
+            return 2
+    text = "\n".join(texts)
     try:
         doc = parse_document(text)
         names, objects = _resolve(doc, command, names, flags)
@@ -113,11 +120,6 @@ def _emit_error(command, path, message):
     report = {"command": command, "inputs": [path], "result": None,
               "diagnostics": [message]}
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-
-
-def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _is_name(arg):

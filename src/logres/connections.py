@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from .errors import ModelMismatch, NonConstant
 from .field import ZERO, as_scalar
+from .lattice import identity_int
 from .linalg import Matrix
 from .monoids import AffineMonoid, MonoidIdeal
 
@@ -114,11 +115,10 @@ class LogDifferentials:
     def __init__(self, monoid: AffineMonoid, ideal: MonoidIdeal):
         if ideal.monoid != monoid:
             raise ModelMismatch("ideal is not an ideal of this monoid")
-        if monoid.ambient_rank > 0:
-            basis = monoid.group_basis()
-            if len(basis) != monoid.ambient_rank or _hnf_det(basis) != 1:
-                raise ValueError(
-                    "connection models need P^gp = Z^d; re-present the monoid")
+        # the reduced Hermite basis of Z^d is the identity
+        if monoid.group_basis() != identity_int(monoid.ambient_rank):
+            raise ValueError(
+                "connection models need P^gp = Z^d; re-present the monoid")
         self.monoid = monoid
         self.ideal = ideal
         self.rank = monoid.ambient_rank
@@ -139,14 +139,6 @@ class LogDifferentials:
             if not self.ideal.contains(e):
                 kept.append((e, c))
         return MonPoly(kept)
-
-
-def _hnf_det(basis):
-    d = 1
-    for i, row in enumerate(basis):
-        piv = next((x for x in row if x != 0), 0)
-        d *= abs(piv)
-    return d
 
 
 class LogConnection:

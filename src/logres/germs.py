@@ -426,7 +426,7 @@ class GermMap:
     """
 
     def __init__(self, monoid, face, coordinate_values, splitting_units):
-        from .lattice import hnf_rows, identity_int, snf
+        from .lattice import hnf_rows, saturated_basis_change
 
         self.monoid = monoid
         self.face = face
@@ -444,13 +444,8 @@ class GermMap:
             raise ValueError("need one coordinate value per face basis vector")
         if len(splitting_units) != d - t:
             raise ValueError("need one splitting unit per sharp basis vector")
-        if t:
-            U, D, V, Ui = snf([list(col) for col in zip(*mbasis)])
-            for i in range(t):
-                if abs(D[i][i]) != 1:
-                    raise ValueError("face lattice is not saturated")
-        else:
-            U = identity_int(d)
+        _, U, _ = saturated_basis_change(mbasis, d,
+                                         "face lattice is not saturated")
         self.coordinate_values = tuple(coordinate_values)
         self.splitting_units = tuple(splitting_units)
         self._key = (monoid, face.generator_indices, self.coordinate_values,

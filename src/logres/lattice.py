@@ -1,16 +1,18 @@
 """Integer and rational lattice utilities.
 
 Plain list-of-list matrices over int / Fraction: Hermite and Smith normal
-forms with transformation tracking, rational kernels, and an exact
-Fourier-Motzkin feasibility test for strict supporting functionals.  The
-Hermite and Smith forms are integer algorithms of their own; the rational
-kernel runs the library's one Gauss-Jordan elimination, linalg.gauss_jordan,
-over Fraction.
+forms with transformation tracking; from the Smith form, coordinates
+adapted to a saturated sublattice and the lattice points of half-open
+parallelepipeds; rational kernels (linalg.gauss_jordan over Fraction) and
+a Fourier-Motzkin test for strict supporting functionals.  The last two
+have no caller in the library: the tests' face oracle and the benchmark's
+tracer use them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .linalg import gauss_jordan, kernel_vectors
 
@@ -159,6 +161,42 @@ def snf(a):
             continue
         t += 1
     return U, D, V, Ui
+
+
+def saturated_basis_change(rows, d, message):
+    """(s, U, Uinv) for the sublattice L of Z^d spanned by `rows`.
+
+    s is the rank of L and U a unimodular d x d matrix, with inverse Uinv,
+    such that y = U x maps L onto the first s coordinates: U A V = D is
+    the Smith form of the matrix A whose columns are the rows.  This needs
+    L saturated in Z^d, that is, the s nonzero elementary divisors of A
+    are 1; otherwise ValueError(message).  With no rows, U = Uinv = the
+    identity.
+    """
+    U, D, _, Ui = snf([[row[i] for row in rows] for i in range(d)])
+    divisors = [D[i][i] for i in range(min(d, len(rows))) if D[i][i]]
+    if any(abs(e) != 1 for e in divisors):
+        raise ValueError(message)
+    return len(divisors), U, Ui
+
+
+def parallelepiped_coefficients(vectors):
+    """The coefficient vectors t in [0, 1)^r with sum_j t_j v_j in Z^r,
+    for r vectors v_j of Z^r: one per coset of their span in Z^r, and none
+    when they are dependent.
+
+    With A the matrix whose columns are the v_j and U A V = D its Smith
+    form, the lattice points are A t for t = frac(V D^-1 k), 0 <= k_i <
+    D_ii.
+    """
+    r = len(vectors)
+    _, D, V, _ = snf([list(col) for col in zip(*vectors)])
+    diag = [abs(D[i][i]) for i in range(r)]
+    if 0 in diag:
+        return
+    for k in product(*(range(e) for e in diag)):
+        yield [sum(Fraction(v * kk, e) for v, kk, e in zip(row, k, diag)) % 1
+               for row in V]
 
 
 def rational_kernel(rows):

@@ -9,20 +9,19 @@ closed sets of the generator-facet incidence).  Membership and saturation
 are exact decisions from the facet functionals: membership by a search
 that the functionals confine to finitely many states, saturation by the
 lattice points of the half-open parallelepipeds of the generators.  A face
-handed in by a caller is certified independently by a rational supporting
-functional, decided by Fourier-Motzkin elimination.
+handed in by a caller is certified against the same face lattice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from operator import mul, sub
 
 from .errors import NotAFace
-from .lattice import (hnf_rows, lattice_rank, rational_kernel, snf,
-                      strictly_positive_solution)
+from .lattice import (hnf_rows, lattice_rank, parallelepiped_coefficients,
+                      saturated_basis_change)
 from .linalg import solve_columns
 
 
@@ -249,21 +248,6 @@ class AffineMonoid:
         self._facet_list = list(facets.items())
         return self._facet_list
 
-    def _is_face_subset(self, idx):
-        inside = [self.generators[j] for j in sorted(idx)]
-        outside = [self.generators[j] for j in range(len(self.generators))
-                   if j not in idx]
-        if not outside:
-            return True  # P itself, functional 0
-        kernel = rational_kernel(inside) if inside else [
-            [Fraction(1) if i == j else Fraction(0) for i in range(self.ambient_rank)]
-            for j in range(self.ambient_rank)]
-        if not kernel:
-            return False
-        rows = [[sum(Fraction(g[i]) * v[i] for i in range(self.ambient_rank))
-                 for v in kernel] for g in outside]
-        return strictly_positive_solution(rows)
-
     def unit_face(self):
         """The minimal face: generators that are units."""
         return self.faces()[0]
@@ -278,22 +262,14 @@ class AffineMonoid:
         rank P^gp independent generators S, so x = p + sum n_g g with n_g
         in N and p in P^gp in the half-open parallelepiped {sum t_g g :
         g in S, 0 <= t_g < 1} (Bruns & Gubeladze, Polytopes, Rings, and
-        K-Theory, ch. 2); P is saturated iff every such p lies in P.  With
-        S in P^gp coordinates as the columns of M, U M V = D its Smith
-        form, the p are sum_g frac((V D^-1 k)_g) g, 0 <= k_i < D_ii: one
-        per coset of M Z^r.
+        K-Theory, ch. 2); P is saturated iff every such p lies in P.  There
+        is one p per coset of the span of S in P^gp, found from the Smith
+        form of S in P^gp coordinates.
         """
         basis = self.group_basis()
         coords = [_coords_in_basis(basis, g) for g in self.generators]
         for subset in combinations(range(len(coords)), len(basis)):
-            _, D, V, _ = snf([[coords[j][i] for j in subset]
-                              for i in range(len(basis))])
-            diag = [abs(D[i][i]) for i in range(len(basis))]
-            if 0 in diag:
-                continue  # linearly dependent generators
-            for k in product(*(range(e) for e in diag)):
-                t = [sum(Fraction(v * kk, e) for v, kk, e in zip(row, k, diag))
-                     % 1 for row in V]
+            for t in parallelepiped_coefficients([coords[j] for j in subset]):
                 p = [sum(tj * self.generators[j][c]
                          for tj, j in zip(t, subset))
                      for c in range(self.ambient_rank)]
@@ -356,9 +332,10 @@ class Face:
 
 
 def _check_face(P, F):
+    """F must be one of P.faces()."""
     if not isinstance(F, Face) or F.monoid != P:
         raise NotAFace("face does not belong to this monoid")
-    if not P._is_face_subset(F.generator_indices):
+    if F not in P.faces():
         raise NotAFace("generator subset fails the face condition")
 
 
@@ -485,24 +462,11 @@ def quotient_with_map(P: AffineMonoid, F: Face):
     _check_face(P, F)
     basis = P.group_basis()
     r = len(basis)
-    fcoords = []
-    for f in F.span:
-        c = _coords_in_basis(basis, f)
-        if c is None:
-            raise NotAFace("face generator outside P^gp")
-        fcoords.append(c)
-    if fcoords:
-        # quotient Z^r by the row span of fcoords
-        U, D, V, Ui = snf([list(c) for c in zip(*fcoords)])  # columns = face gens
-        s = sum(1 for i in range(min(len(D), len(D[0]) if D else 0))
-                if i < len(D) and i < len(D[0]) and D[i][i] != 0)
-        for i in range(s):
-            if abs(D[i][i]) != 1:
-                raise ValueError("quotient lattice has torsion (non-fs input?)")
-        proj = [U[i] for i in range(s, r)]
-    else:
-        s = 0
-        proj = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    # quotient Z^r by the span of the face generators' coordinates
+    s, U, _ = saturated_basis_change(
+        [_coords_in_basis(basis, f) for f in F.span], r,
+        "quotient lattice has torsion (non-fs input?)")
+    proj = U[s:]
     # sign normalization: make the first nonzero image entry positive per row
     images = []
     for g in P.generators:

@@ -19,7 +19,7 @@ from .connections import (LogConnection, LogDifferentials, MonPoly, combine,
                           is_flat)
 from .errors import ModelMismatch, NotFlat, NotHollow
 from .field import ONE, as_scalar
-from .lattice import hnf_rows, identity_int, snf
+from .lattice import hnf_rows, saturated_basis_change
 from .monoids import AffineMonoid, Face, MonoidIdeal, classify_model, quotient_with_map
 
 
@@ -70,18 +70,9 @@ class HollowStructure:
         self.ideal = ideal
         d = monoid.ambient_rank
         unit = monoid.unit_face()
-        mbasis = hnf_rows(unit.span)  # rows: basis of the unit lattice M
-        t = len(mbasis)
-        if t:
-            U, D, V, Ui = snf([list(col) for col in zip(*mbasis)])
-            for i in range(t):
-                if abs(D[i][i]) != 1:
-                    raise ValueError("unit lattice is not saturated in Z^d")
-            self.U = U          # d x d unimodular; y = U x adapted coordinates
-            self.Uinv = Ui
-        else:
-            self.U = identity_int(d)
-            self.Uinv = identity_int(d)
+        # y = U x: adapted coordinates, the unit lattice M first
+        t, self.U, self.Uinv = saturated_basis_change(
+            hnf_rows(unit.span), d, "unit lattice is not saturated in Z^d")
         self.torus_rank = t
         self.sharp_rank = d - t
         self.dim = d
@@ -243,15 +234,15 @@ def _pullbacks(conn: LogConnection, hs: HollowStructure, splittings,
     return bases, [in_torus(mat) for mat in sharp]
 
 
-def eps_pullback(conn: LogConnection, eps: Splitting,
-                 require_flat=True) -> LogConnection:
+def eps_pullback(conn: LogConnection, eps: Splitting) -> LogConnection:
     """Classical connection on the unit torus induced by a splitting.
 
     Substitutes dlog of each log direction by its unit part plus the
     splitting's torus character; satisfies the universal-splitting identity
-    (the pullback of dlog(p) is dlog of p's own character).
+    (the pullback of dlog(p) is dlog of p's own character).  conn must be
+    integrable (NotFlat otherwise).
     """
-    return _pullbacks(conn, eps.structure, [eps], require_flat)[0][0]
+    return _pullbacks(conn, eps.structure, [eps], True)[0][0]
 
 
 def splitting_delta(eps0: Splitting, eps1: Splitting, conn: LogConnection):

@@ -15,6 +15,11 @@ from .errors import InvalidDeclaration, ParseError
 from .field import GaussRat, ZERO, ONE, I as IUNIT, format_scalar
 from .linalg import Matrix
 
+# The deepest parenthesis nesting an expression may have.  Each level costs
+# four frames of the recursive descent, so this stays well inside Python's
+# recursion limit.
+MAX_NESTING = 100
+
 # The domain classes are imported where a declaration (or an entry mode)
 # builds them, so parsing loads only the modules of the kinds it meets.
 
@@ -89,6 +94,7 @@ class _Parser:
     def __init__(self, text):
         self.toks = _lex(text)
         self.pos = 0
+        self.nesting = 0  # open parentheses around the current expression
 
     def peek(self, k=0):
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
@@ -194,25 +200,26 @@ class _Parser:
         return a.scale(ONE / b.constant_value())
 
     def parse_factor(self, mode, dim):
-        if self.accept("-"):
-            return -self.parse_factor(mode, dim)
+        neg = False  # leading minus signs, read by parity
+        while self.accept("-"):
+            neg = not neg
         val = self.parse_atom(mode, dim)
         if self.peek().kind == "^" and self.peek(1).kind != "[":
             self.next()
-            neg = bool(self.accept("-"))
-            e = int(self.expect("INT", "an exponent").text)
-            e = -e if neg else e
+            sign = -1 if self.accept("-") else 1
+            e = sign * int(self.expect("INT", "an exponent").text)
             if mode != "ring":
-                return val ** e
-            if e < 0:
+                val = val ** e
+            elif e < 0:
                 self.fail("negative power in a ring entry")
-            from .connections import MonPoly
+            else:
+                from .connections import MonPoly
 
-            out = MonPoly.constant(1, dim)
-            for _ in range(e):
-                out = out * val
-            return out
-        return val
+                out = MonPoly.constant(1, dim)
+                for _ in range(e):
+                    out = out * val
+                val = out
+        return -val if neg else val
 
     def parse_atom(self, mode, dim):
         if mode == "germ":
@@ -246,8 +253,12 @@ class _Parser:
                 self.fail("monomial exponent has wrong length")
             return MonPoly.monomial(exp)
         if t.kind == "(":
+            if self.nesting == MAX_NESTING:
+                self.fail("parentheses nested deeper than %d" % MAX_NESTING)
             self.next()
+            self.nesting += 1
             v = self.parse_expr(mode, dim)
+            self.nesting -= 1
             self.expect(")", "')'")
             return v
         self.fail("expected a number, i%s%s, or '('" % (

@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Each oracle recomputes a quantity by a different route than the library:
-brute-force box scans for monoid combinatorics, a valuation-tracked
+brute-force box scans and a Fourier-Motzkin face certificate for monoid
+combinatorics, a valuation-tracked
 lattice saturation for the Fuchs test, kernel/image ranks on an
 independently assembled Koszul complex, GaussRat-at-a-time products
 and Faddeev-LeVerrier characteristic polynomials for the integer kernels
@@ -10,11 +11,13 @@ and the splitting pullbacks of logres.connections, and de Rham
 cohomology as a sum over torus characters.
 """
 
+from fractions import Fraction
 from itertools import product
 
 from logres.connections import LogConnection, MonPoly
 from logres.field import GaussRat, ZERO, ONE
 from logres.germs import pval
+from logres.lattice import rational_kernel, strictly_positive_solution
 from logres.linalg import Matrix
 
 
@@ -59,6 +62,25 @@ def brute_force_faces(P, bound=8):
         if ok:
             out[frozenset(fbox)] = sorted(set(sub))
     return out
+
+
+def fm_is_face_subset(P, idx):
+    """Is the generator index set idx a face of P?  Exactly when some
+    rational functional vanishes on the generators in idx and is > 0 on
+    the others, decided by Fourier-Motzkin elimination on the kernel of
+    the generators in idx."""
+    d = P.ambient_rank
+    inside = [P.generators[j] for j in sorted(idx)]
+    outside = [g for j, g in enumerate(P.generators) if j not in idx]
+    if not outside:
+        return True  # P itself, functional 0
+    kernel = rational_kernel(inside) if inside else [
+        [Fraction(int(i == j)) for i in range(d)] for j in range(d)]
+    if not kernel:
+        return False
+    rows = [[sum(Fraction(g[i]) * v[i] for i in range(d)) for v in kernel]
+            for g in outside]
+    return strictly_positive_solution(rows)
 
 
 def brute_force_radical_membership(P, K, x, nmax=8):

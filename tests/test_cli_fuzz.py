@@ -2,7 +2,8 @@
 
 Each case runs one command of the CLI's command table through `cli.main`
 in this process.  Most cases mutate its document of demos/data a few
-times (characters, number tokens and whole lines) and write it to a file;
+times (characters, number tokens, whole lines and raw bytes that are not
+UTF-8) and write it to a file;
 the others keep the document and mutate the argument list instead: a
 flag the command does not read, a surplus name, an unknown name, or a
 name that is also a file in the working directory.  Whatever the input,
@@ -53,14 +54,21 @@ FLAGS = [("dot", "--dot"), ("tau", "--tau-window=(0,1]"),
 ALPHABET = " \n,;[]()={}:/-+*^0123456789tix"
 NUMBERS = ["0", "1", "-1", "2", "1/2", "1/0", "i", "t", "3/t", "-2/3"]
 NUMBER = re.compile(r"(?<!\w)-?\d+(/\d+)?")
+# bytes that are never valid UTF-8 where they are inserted (a lone
+# continuation byte, a lead byte of an overlong form, a byte outside
+# UTF-8), as the surrogates that the "surrogateescape" error handler
+# writes back as those bytes
+RAW = ["\udc80", "\udcc0", "\udcff"]
 
 
 def mutate(r, text):
     """One random edit of text: a character, a number token (the most
-    likely edit, since it keeps the syntax and moves the values) or a
-    whole line."""
-    kind = r.randrange(9)
+    likely edit, since it keeps the syntax and moves the values), a whole
+    line or a raw byte."""
+    kind = r.randrange(10)
     pos = r.randrange(len(text) + 1)
+    if kind == 9:
+        return text[:pos] + r.choice(RAW) + text[pos:]
     if kind == 0:
         return text[:pos] + text[pos + 1:]
     if kind == 1:
@@ -112,7 +120,7 @@ def run_case(r, tmp_path):
         for _ in range(r.randint(1, 3)):
             text = mutate(r, text)
         path = tmp_path / "mutated.txt"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
         argv = (command.split() + [str(path)]
                 + names[:r.randint(0, len(names))])
     else:

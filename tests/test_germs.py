@@ -165,6 +165,13 @@ def test_germ_map_rejects_zero_values():
         _a1_map(RF_ZERO)
 
 
+def test_germ_map_refuses_unsaturated_face():
+    P = AffineMonoid([(2, 0), (0, 1)])
+    face = next(f for f in P.faces() if sorted(f.generator_indices) == [0])
+    with pytest.raises(ValueError, match="^face lattice is not saturated$"):
+        GermMap(P, face, [RatFunc.t_power(1)], [RF_ONE])
+
+
 def test_pullback_with_center_is_fuchsian():
     r = rng(53)
     N2 = AffineMonoid([(1, 0), (0, 1)])

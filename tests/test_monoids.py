@@ -6,12 +6,12 @@ import pytest
 from logres.errors import NotAFace
 from logres.lattice import snf
 from logres.monoids import (AffineMonoid, Face, ModelClass, MonoidIdeal,
-                            classify_model, faces, localize, quotient,
-                            quotient_with_map, radical)
+                            _check_face, classify_model, faces, localize,
+                            quotient, quotient_with_map, radical)
 
 from corpus import rng
 from oracles import brute_force_faces, brute_force_radical_membership, \
-    submonoid_box
+    fm_is_face_subset, submonoid_box
 
 N = AffineMonoid([(1,)])
 N2 = AffineMonoid([(1, 0), (0, 1)])
@@ -98,16 +98,23 @@ def random_face_corpus(r, count=150):
 
 def test_faces_match_subset_scan_on_random_corpus():
     # every generator subset accepted by the Fourier-Motzkin certificate,
-    # in the (size, sorted indices) order, and nothing else
+    # in the (size, sorted indices) order, and nothing else; _check_face
+    # rejects exactly the other subsets
     for P in random_face_corpus(rng(4401)):
         n = len(P.generators)
         scan = [frozenset(j for j in range(n) if mask >> j & 1)
                 for mask in range(1 << n)]
-        scan = sorted((s for s in scan if P._is_face_subset(s)),
-                      key=lambda s: (len(s), sorted(s)))
+        accepted = sorted((s for s in scan if fm_is_face_subset(P, s)),
+                          key=lambda s: (len(s), sorted(s)))
         fs = faces(P)
-        assert [f.generator_indices for f in fs] == scan, P
+        assert [f.generator_indices for f in fs] == accepted, P
         assert_closed_with_min_max(fs)
+        for s in scan:
+            if s in accepted:
+                _check_face(P, Face(P, s))
+            else:
+                with pytest.raises(NotAFace):
+                    _check_face(P, Face(P, s))
 
 
 def test_faces_of_sixteen_generator_cone_within_budget():
@@ -168,6 +175,14 @@ def test_quotient_sharp_and_torsion_free():
                 divisors = [D[i][i] for i in range(min(len(D), len(D[0])))
                             if D[i][i] != 0]
                 assert all(abs(d) == 1 for d in divisors)
+
+
+def test_quotient_refuses_torsion():
+    P = AffineMonoid([(2, 0), (0, 1), (1, 1)])
+    face = next(f for f in faces(P) if sorted(f.generator_indices) == [0])
+    with pytest.raises(ValueError, match=r"^quotient lattice has torsion "
+                       r"\(non-fs input\?\)$"):
+        quotient_with_map(P, face)
 
 
 def test_radical_examples():

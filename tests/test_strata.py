@@ -91,6 +91,14 @@ def test_eps_pullback_requires_hollow():
         HollowStructure(N, K0)
 
 
+def test_hollow_structure_refuses_unsaturated_units():
+    # hollow, but the units <(2,0)> are not saturated in Z^2
+    P = AffineMonoid([(2, 0), (-2, 0), (0, 1)])
+    with pytest.raises(ValueError,
+                       match=r"^unit lattice is not saturated in Z\^d$"):
+        HollowStructure(P, MonoidIdeal(P, [(0, 1)]))
+
+
 def test_eps_pullback_requires_flat():
     from logres.errors import NotFlat
 

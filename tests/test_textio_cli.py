@@ -362,6 +362,50 @@ def main_in(directory, argv, monkeypatch):
     return code, out.getvalue()
 
 
+def main_captured(argv):
+    """(exit code, stdout, stderr) of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_non_utf8_document_exit_2(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"monoid P = [[1]]\n\xff\n")
+    code, out, err = main_captured(["faces", str(p)])
+    assert (code, err) == (2, "")
+    assert json.loads(out)["diagnostics"] == [
+        "UnicodeDecodeError: %s: 'utf-8' codec can't decode byte 0xff in "
+        "position 17: invalid start byte" % p]
+
+
+def test_cli_deep_parentheses_are_a_parse_error(tmp_path):
+    p = tmp_path / "deep.txt"
+    head = "monoid N = [[1]]\nideal KH in N = [[1]]\n"
+    entry = "connection C on (N, KH) { U1 = [[%s1/2%s]] }\n"
+    p.write_text(head + entry % ("(" * 100, ")" * 100))
+    assert main_captured(["flat", str(p)])[0] == 0
+    p.write_text(head + entry % ("(" * 300, ")" * 300))
+    code, out, err = main_captured(["flat", str(p)])
+    assert (code, err) == (3, "")
+    # at the 101st "(", which follows the 33 characters before the entry
+    assert json.loads(out)["diagnostics"] == [
+        "ParseError: 3:134: parentheses nested deeper than 100"]
+
+
+def test_cli_many_leading_minus_signs(tmp_path):
+    p = tmp_path / "minus.txt"
+    lobject = ("monoid N = [[1]]\nideal KH in N = [[1]]\n"
+               "lobject V over (N, KH) { gen g1: deg=[%s1/2]; "
+               "gamma1: label=-1/2 nilpotent=[[0]] }\n")
+    p.write_text(lobject % "-")
+    one = main_captured(["rh", "from-lobject", str(p)])
+    p.write_text(lobject % ("-" * 3001))
+    many = main_captured(["rh", "from-lobject", str(p)])
+    assert one[0] == 0 and many == one
+
+
 def test_cli_name_that_is_also_a_file_stays_a_name(tmp_path, monkeypatch):
     (tmp_path / "P").write_text("monoid P = [[1,0],[0,1]]\n")
     here = main_in(REPO_ROOT, ["faces", "demos/data/quadric.txt", "P"],
