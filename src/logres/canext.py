@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from .errors import InvalidObject, ModelMismatch
 from .field import GaussRat, as_scalar
-from .lobjects import LObject, check_axioms
+from .lattice import identity_int
+from .lobjects import LObject, require_valid
 from .monoids import AffineMonoid, MonoidIdeal
 
 
@@ -70,13 +71,8 @@ class GoodEmbeddingModel:
         self.infinity_rank = infinity_rank
         s, r = core_monoid.ambient_rank, infinity_rank
         pgens = [tuple(g) + (0,) * r for g in core_monoid.generators]
-        inf_pos = []
-        inf_neg = []
-        for i in range(r):
-            e = [0] * r
-            e[i] = 1
-            inf_pos.append((0,) * s + tuple(e))
-            inf_neg.append((0,) * s + tuple(-x for x in e))
+        inf_pos = [(0,) * s + tuple(e) for e in identity_int(r)]
+        inf_neg = [tuple(-x for x in v) for v in inf_pos]
         self.monoid_q = AffineMonoid(pgens + inf_pos, ambient_rank=s + r)
         self.monoid_qp = AffineMonoid(pgens + inf_pos + inf_neg,
                                       ambient_rank=s + r)
@@ -106,11 +102,9 @@ def restrict(model: GoodEmbeddingModel, V: LObject) -> LObject:
     """Restriction along the open immersion: the last r coordinates become
     invertible.  Couplings whose monomial falls into the extended ideal die."""
     model._expect(V, model.monoid_q, model.ideal_q, "Q")
-    _require_valid(V)
-    out = LObject(model.monoid_qp, model.ideal_qp, V.degrees,
-                  V.log_matrices)
-    mats = [out.reduce_matrix(m) for m in out.log_matrices]
-    return LObject(model.monoid_qp, model.ideal_qp, V.degrees, mats)
+    require_valid(V)
+    return LObject(model.monoid_qp, model.ideal_qp, V.degrees,
+                   V.log_matrices).reduced()
 
 
 def _shifts_for(model, V, tau):
@@ -137,9 +131,7 @@ def _apply_shifts(model, V, shifts, monoid, ideal):
     for d, sh in zip(V.degrees, shifts):
         degs.append(tuple(d[:s]) + tuple(x + GaussRat(c)
                                          for x, c in zip(d[s:], sh)))
-    out = LObject(monoid, ideal, degs, V.log_matrices)
-    mats = [out.reduce_matrix(m) for m in out.log_matrices]
-    return LObject(monoid, ideal, degs, mats)
+    return LObject(monoid, ideal, degs, V.log_matrices).reduced()
 
 
 def canonical_extension(model: GoodEmbeddingModel, Vp: LObject,
@@ -152,7 +144,7 @@ def canonical_extension(model: GoodEmbeddingModel, Vp: LObject,
     tau-normalized input, and freeness is preserved by construction.
     """
     model._expect(Vp, model.monoid_qp, model.ideal_qp, "Q'")
-    _require_valid(Vp)
+    require_valid(Vp)
     shifts = _shifts_for(model, Vp, tau)
     return _apply_shifts(model, Vp, shifts, model.monoid_q,
                          model.ideal_q), shifts
@@ -187,9 +179,3 @@ def exponents_report(model: GoodEmbeddingModel, V: LObject,
     adapted = all(tau.fixes(x) for e in exps for x in e)
     exps.sort(key=lambda e: tuple(x.sort_key() for x in e))
     return ExponentsReport(exps, adapted)
-
-
-def _require_valid(V):
-    rep = check_axioms(V)
-    if not rep.ok:
-        raise InvalidObject("object fails axioms: %s" % rep.codes(), rep)

@@ -24,7 +24,7 @@ import sys
 from .errors import LogresError, ParseError
 from .field import format_scalar
 from .textio import (_fmt_mp_matrix, _fmt_ratfunc, _lex, parse_document,
-                     print_document)
+                     parse_window_text, print_document)
 
 # Each command handler imports the library functions it calls, so a
 # command loads (and, without cached bytecode, compiles) only its modules.
@@ -39,8 +39,9 @@ def main(argv=None) -> int:
             flags[a] = True
         elif a.startswith("--tau-window="):
             value = a.split("=", 1)[1]
-            flags["--tau-window"] = _window_start(value)
-            if flags["--tau-window"] is None:
+            try:
+                flags["--tau-window"] = parse_window_text(value)
+            except (ParseError, ZeroDivisionError):
                 return _usage_error("invalid --tau-window value %r: expected "
                                     "(a,b] with b = a+1" % value)
         elif a.startswith("--"):
@@ -171,21 +172,6 @@ def _resolve(doc, command, names, flags):
             taken.append(name)
             objects.append(value)
     return taken, objects
-
-
-def _window_start(text):
-    """a for a unit window "(a,b]" with b = a+1, else None."""
-    from fractions import Fraction
-
-    text = text.strip()
-    ends = text[1:-1].split(",")
-    if not (text.startswith("(") and text.endswith("]")) or len(ends) != 2:
-        return None
-    try:
-        lo, hi = (Fraction(e.strip()) for e in ends)
-    except (ValueError, ZeroDivisionError):
-        return None
-    return lo if hi - lo == 1 else None
 
 
 # -- serializers ---------------------------------------------------------------

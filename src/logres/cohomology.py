@@ -17,6 +17,7 @@ from itertools import combinations
 
 from .errors import NonCommuting, NonConstant, NotFlat, NotNcType
 from .field import ZERO, as_scalar
+from .lattice import identity_int
 from .linalg import Matrix, _restriction, eigen_decompose, integer_eigenspaces
 from .lobjects import LObject
 
@@ -182,22 +183,14 @@ def log_point_model(r):
     """The standard free log point: monoid N^r with the hollow ideal."""
     from .monoids import AffineMonoid, MonoidIdeal
 
-    gens = []
-    for i in range(r):
-        e = [0] * r
-        e[i] = 1
-        gens.append(tuple(e))
+    gens = [tuple(e) for e in identity_int(r)]
     P = AffineMonoid(gens, ambient_rank=r)
     return P, MonoidIdeal(P, gens, validate=False)
 
 
 def _is_free_model(monoid):
     d = monoid.ambient_rank
-    basis = set()
-    for i in range(d):
-        e = [0] * d
-        e[i] = 1
-        basis.add(tuple(e))
+    basis = {tuple(e) for e in identity_int(d)}
     return set(monoid.generators) <= basis and len(set(monoid.generators)) == d
 
 

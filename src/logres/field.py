@@ -92,15 +92,8 @@ class GaussRat:
 
     def __pow__(self, n):
         if n < 0:
-            return GaussRat(1) / self ** (-n)
-        out = GaussRat(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return ONE / power(self, -n, ONE)
+        return power(self, n, ONE)
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -130,6 +123,22 @@ class GaussRat:
 ZERO = GaussRat(0)
 ONE = GaussRat(1)
 I = GaussRat(0, 1)
+
+
+def power(base, n, one):
+    """base ** n for an integer n >= 0 by square-and-multiply; one is the
+    value of n = 0.  Never multiplies by one, and squares only below the
+    top bit of n, so n = 1 costs no product and n = 2 one."""
+    if n == 0:
+        return one
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
 
 
 def as_scalar(x) -> GaussRat:

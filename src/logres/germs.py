@@ -14,7 +14,7 @@ vector decides).
 from __future__ import annotations
 
 from .errors import CyclicVectorNotFound, NonUnitValue
-from .field import GaussRat, ZERO, ONE, as_scalar
+from .field import GaussRat, ZERO, ONE, as_scalar, power
 from .linalg import solve_columns
 
 
@@ -175,11 +175,7 @@ class RatFunc:
         return RatFunc(pmul(poly_const(c), self.den), self.num)
 
     def __pow__(self, k):
-        out = RF_ONE
-        base = self if k >= 0 else RF_ONE / self
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        return power(self if k >= 0 else RF_ONE / self, abs(k), RF_ONE)
 
     def __eq__(self, other):
         return (isinstance(other, RatFunc) and self.num == other.num

@@ -16,7 +16,7 @@ commutation, tensor products, and graded pieces exact.
 
 from __future__ import annotations
 
-from .errors import ModelMismatch
+from .errors import InvalidObject, ModelMismatch
 from .field import ZERO, as_scalar
 from .linalg import Matrix
 from .monoids import AffineMonoid, MonoidIdeal
@@ -143,6 +143,11 @@ class LObject:
             rows.append(row)
         return Matrix(rows)
 
+    def reduced(self):
+        """The same object with every log matrix reduced mod K."""
+        return LObject(self.monoid, self.ideal, self.degrees,
+                       [self.reduce_matrix(m) for m in self.log_matrices])
+
     def canonical_sort(self):
         """Reorder generators by degree; returns (sorted object, permutation).
 
@@ -214,6 +219,13 @@ def check_axioms(V: LObject) -> ValidationReport:
                 bad.append(("NonCommutingMonodromy",
                             "gamma%d and gamma%d do not commute" % (k, l)))
     return ValidationReport(bad)
+
+
+def require_valid(V: LObject):
+    """InvalidObject, carrying the report, unless V passes check_axioms."""
+    rep = check_axioms(V)
+    if not rep.ok:
+        raise InvalidObject("object fails axioms: %s" % rep.codes(), rep)
 
 
 def _has_cycle(n, edges):
@@ -292,7 +304,5 @@ def tensor(V: LObject, W: LObject) -> LObject:
     mats = []
     for k in range(V.directions):
         mats.append(V.log_matrices[k].kron(iw) + iv.kron(W.log_matrices[k]))
-    out = LObject(V.monoid, V.ideal, degs, mats)
     # kill tensor couplings whose monomial died in the quotient ring
-    mats = [out.reduce_matrix(m) for m in out.log_matrices]
-    return LObject(V.monoid, V.ideal, out.degrees, mats)
+    return LObject(V.monoid, V.ideal, degs, mats).reduced()

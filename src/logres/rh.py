@@ -11,9 +11,9 @@ The round-trip tests pin this convention down globally.
 from __future__ import annotations
 
 from .connections import LogConnection, MonPoly, _curvature, is_flat
-from .errors import ConditionsFailed, InvalidObject, ModelMismatch, NotFlat
+from .errors import ConditionsFailed, ModelMismatch, NotFlat
 from .linalg import Matrix, eigen_decompose
-from .lobjects import LObject, check_axioms
+from .lobjects import LObject, require_valid
 from .strata import Splitting, _pullbacks
 
 
@@ -95,9 +95,7 @@ def from_lobject(V: LObject) -> LogConnection:
     Couplings transport to their monomials; for a coupling-free object the
     result is the constant connection inverse to to_lobject.
     """
-    report = check_axioms(V)
-    if not report.ok:
-        raise InvalidObject("object fails axioms: %s" % report.codes(), report)
+    require_valid(V)
     from .connections import LogDifferentials
 
     diff = LogDifferentials(V.monoid, V.ideal)

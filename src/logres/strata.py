@@ -19,7 +19,7 @@ from .connections import (LogConnection, LogDifferentials, MonPoly, combine,
                           is_flat)
 from .errors import ModelMismatch, NotFlat, NotHollow
 from .field import ONE, as_scalar
-from .lattice import hnf_rows, saturated_basis_change
+from .lattice import hnf_rows, identity_int, saturated_basis_change
 from .monoids import AffineMonoid, Face, MonoidIdeal, classify_model, quotient_with_map
 
 
@@ -99,13 +99,9 @@ class HollowStructure:
 
 
 def _torus_monoid(t):
-    gens = []
-    for i in range(t):
-        e = [0] * t
-        e[i] = 1
-        gens.append(tuple(e))
-        gens.append(tuple(-x for x in e))
-    return AffineMonoid(gens, ambient_rank=t)
+    """Z^t as a monoid, generated by e_1, -e_1, e_2, -e_2, ..."""
+    return AffineMonoid([v for e in identity_int(t)
+                         for v in (e, [-x for x in e])], ambient_rank=t)
 
 
 class Splitting:
@@ -159,11 +155,7 @@ def splitting_cover(P: AffineMonoid):
         raise ValueError("splitting_cover expects a sharp monoid")
     d = P.ambient_rank
     gens = [tuple(g) + (0,) * d for g in P.generators]
-    for i in range(d):
-        e = [0] * d
-        e[i] = 1
-        gens.append((0,) * d + tuple(e))
-        gens.append((0,) * d + tuple(-x for x in e))
+    gens += [(0,) * d + e for e in _torus_monoid(d).generators]
     Q = AffineMonoid(gens, ambient_rank=2 * d)
     KQ = MonoidIdeal(Q, [tuple(g) + (0,) * d for g in P.generators],
                      validate=False)

@@ -1,10 +1,13 @@
 """Line-oriented declaration format: lexer, recursive-descent parser, and
 the canonical printer used for byte-stable round trips.
 
-One declaration per block; vectors are bracketed integer/rational lists,
-scalars use a/b+c/d*i, monomials x^[p1,...,pm], germ entries are rational
-expressions in t.  Errors carry 1-based line/column and the expected
-tokens.
+One declaration per block, `<keyword> <name> <body>`.  Every list is
+`[item, ...]` (vectors of integers or scalars, lists of vectors, matrices
+as lists of rows), and `[]` is allowed except as an entry matrix, which
+has at least one row.  Scalars use a/b+c/d*i, monomials x^[p1,...,pm],
+germ entries are rational expressions in t, and a tau window is
+`(a,b]` with rationals b = a+1 (also the syntax of --tau-window=).
+Errors carry 1-based line/column and the expected tokens.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidDeclaration, ParseError
-from .field import GaussRat, ZERO, ONE, I as IUNIT, format_scalar
+from .field import GaussRat, ZERO, ONE, I as IUNIT, format_scalar, power
 from .linalg import Matrix
 
 # The deepest parenthesis nesting an expression may have.  Each level costs
@@ -95,6 +98,7 @@ class _Parser:
         self.toks = _lex(text)
         self.pos = 0
         self.nesting = 0  # open parentheses around the current expression
+        self.head = None  # the keyword token of the declaration being read
 
     def peek(self, k=0):
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
@@ -148,25 +152,33 @@ class _Parser:
             return Fraction(num, den)
         return Fraction(num)
 
-    def parse_int_vector(self):
-        self.expect("[", "'['")
-        out = []
-        if self.peek().kind != "]":
-            out.append(self.parse_int())
-            while self.accept(","):
-                out.append(self.parse_int())
+    def parse_window(self):
+        """'(' rational ',' rational ']' of unit length; its lower end."""
+        self.expect("(", "'('")
+        lo = self.parse_rational()
+        self.expect(",", "','")
+        hi = self.parse_rational()
         self.expect("]", "']'")
-        return tuple(out)
+        if hi - lo != 1:
+            self.fail("window must have unit length")
+        return lo
 
-    def parse_vector_list(self):
+    def parse_list(self, item):
+        """'[' item (',' item)* ']' or '[]': the items read by item()."""
         self.expect("[", "'['")
         out = []
         if self.peek().kind != "]":
-            out.append(self.parse_int_vector())
+            out.append(item())
             while self.accept(","):
-                out.append(self.parse_int_vector())
+                out.append(item())
         self.expect("]", "']'")
         return out
+
+    def parse_int_vector(self):
+        return tuple(self.parse_list(self.parse_int))
+
+    def parse_vector_list(self):
+        return self.parse_list(self.parse_int_vector)
 
     # -- expressions ---------------------------------------------------------
     # mode: "scalar" -> GaussRat; "ring" -> MonPoly (dim given);
@@ -215,10 +227,7 @@ class _Parser:
             else:
                 from .connections import MonPoly
 
-                out = MonPoly.constant(1, dim)
-                for _ in range(e):
-                    out = out * val
-                val = out
+                val = power(val, e, MonPoly.constant(1, dim))
         return -val if neg else val
 
     def parse_atom(self, mode, dim):
@@ -270,40 +279,18 @@ class _Parser:
         return self.parse_expr("scalar")
 
     def parse_scalar_vector(self):
-        self.expect("[", "'['")
-        out = []
-        if self.peek().kind != "]":
-            out.append(self.parse_scalar())
-            while self.accept(","):
-                out.append(self.parse_scalar())
-        self.expect("]", "']'")
-        return tuple(out)
+        return tuple(self.parse_list(self.parse_scalar))
 
     def parse_scalar_matrix(self):
-        self.expect("[", "'['")
-        rows = []
-        if self.peek().kind != "]":
-            rows.append(self.parse_scalar_vector())
-            while self.accept(","):
-                rows.append(self.parse_scalar_vector())
-        self.expect("]", "']'")
-        return Matrix(rows)
+        return Matrix(self.parse_list(self.parse_scalar_vector))
 
     def parse_entry_matrix(self, mode, dim):
-        self.expect("[", "'['")
-        rows = []
-        while True:
-            self.expect("[", "'['")
-            row = []
-            if self.peek().kind != "]":
-                row.append(self.parse_expr(mode, dim))
-                while self.accept(","):
-                    row.append(self.parse_expr(mode, dim))
-            self.expect("]", "']'")
-            rows.append(row)
-            if not self.accept(","):
-                break
-        self.expect("]", "']'")
+        close = self.peek(1)  # the ']' of an empty list
+        rows = self.parse_list(lambda: self.parse_list(
+            lambda: self.parse_expr(mode, dim)))
+        if not rows:  # a matrix has at least one row
+            raise ParseError("expected '[', found ']'", close.line, close.col,
+                             expected=("[",))
         return rows
 
 
@@ -347,6 +334,8 @@ class Document:
 
 
 def parse_document(text) -> Document:
+    """Read declarations `<keyword> <name> <body>`: the keyword's handler
+    reads the body and returns (value, canonical text)."""
     p = _Parser(text)
     doc = Document()
     while p.peek().kind != "EOF":
@@ -358,13 +347,17 @@ def parse_document(text) -> Document:
         if handler is None:
             raise ParseError("unknown declaration %r" % kw, t.line, t.col,
                              expected=tuple(sorted(_DECLS)))
-        name = p.peek(1).text
+        p.head = p.next()
+        name = p.expect("NAME", "a name").text
         try:
-            handler(p, doc)
+            value, src = handler(p, doc, name)
         except (ValueError, IndexError, ZeroDivisionError) as e:
             # a constructor rejected the declaration's value
             raise InvalidDeclaration("%s %s" % (kw, name), t.line,
                                      str(e)) from e
+        doc.add(kw, name, value, src, t)
+        if kw == "embedding":
+            _add_embedding_models(doc, name, value)
     return doc
 
 
@@ -389,23 +382,17 @@ def _model_ref(p, doc):
     return monoid, ideal, (mname, kname)
 
 
-def _decl_monoid(p, doc):
+def _decl_monoid(p, doc, name):
     from .monoids import AffineMonoid
 
-    t = p.next()  # 'monoid'
-    name = p.expect("NAME", "a name").text
     p.expect("=", "'='")
     gens = p.parse_vector_list()
-    value = AffineMonoid(gens)
-    src = "monoid %s = %s" % (name, _fmt_veclist(gens))
-    doc.add("monoid", name, value, src, t)
+    return AffineMonoid(gens), "monoid %s = %s" % (name, _fmt_veclist(gens))
 
 
-def _decl_ideal(p, doc):
+def _decl_ideal(p, doc, name):
     from .monoids import MonoidIdeal
 
-    t = p.next()
-    name = p.expect("NAME", "a name").text
     p.keyword("in")
     mname = p.expect("NAME", "a monoid name").text
     p.expect("=", "'='")
@@ -417,36 +404,23 @@ def _decl_ideal(p, doc):
     try:
         value = MonoidIdeal(monoid, gens)
     except ValueError as e:
-        raise InvalidDeclaration("ideal %s in %s" % (name, mname), t.line,
-                                 str(e)) from e
-    src = "ideal %s in %s = %s" % (name, mname, _fmt_veclist(gens))
-    doc.add("ideal", name, value, src, t)
+        raise InvalidDeclaration("ideal %s in %s" % (name, mname),
+                                 p.head.line, str(e)) from e
+    return value, "ideal %s in %s = %s" % (name, mname, _fmt_veclist(gens))
 
 
-def _decl_tau(p, doc):
+def _decl_tau(p, doc, name):
     from .canext import TauSection
 
-    t = p.next()
-    name = p.expect("NAME", "a name").text
     p.expect("=", "'='")
     p.keyword("window")
-    p.expect("(", "'('")
-    lo = p.parse_rational()
-    p.expect(",", "','")
-    hi = p.parse_rational()
-    p.expect("]", "']'")
-    if hi - lo != 1:
-        p.fail("window must have unit length")
-    value = TauSection(lo)
-    src = "tau %s = window(%s,%s]" % (name, lo, hi)
-    doc.add("tau", name, value, src, t)
+    lo = p.parse_window()
+    return TauSection(lo), "tau %s = window(%s,%s]" % (name, lo, lo + 1)
 
 
-def _decl_splitting(p, doc):
+def _decl_splitting(p, doc, name):
     from .strata import HollowStructure, Splitting
 
-    t = p.next()
-    name = p.expect("NAME", "a name").text
     p.keyword("on")
     monoid, ideal, (mn, kn) = _model_ref(p, doc)
     p.expect("{", "'{'")
@@ -466,17 +440,14 @@ def _decl_splitting(p, doc):
     if monomial is None:
         monomial = [[0] * hs.torus_rank for _ in range(hs.sharp_rank)]
     value = Splitting(hs, monomial, units)
-    src = "splitting %s on (%s, %s) { monomial = %s; units = %s }" % (
+    return value, "splitting %s on (%s, %s) { monomial = %s; units = %s }" % (
         name, mn, kn, _fmt_veclist(monomial),
         _fmt_scalar_vec(value.unit_part))
-    doc.add("splitting", name, value, src, t)
 
 
-def _decl_connection(p, doc):
+def _decl_connection(p, doc, name):
     from .connections import LogConnection, LogDifferentials
 
-    t = p.next()
-    name = p.expect("NAME", "a name").text
     p.keyword("on")
     monoid, ideal, (mn, kn) = _model_ref(p, doc)
     dim = monoid.ambient_rank
@@ -498,16 +469,13 @@ def _decl_connection(p, doc):
     rank = len(mats[0])
     diff = LogDifferentials(monoid, ideal)
     value = LogConnection(diff, [mats[k] for k in range(dim)], rank=rank)
-    src = "connection %s on (%s, %s) { %s }" % (
+    return value, "connection %s on (%s, %s) { %s }" % (
         name, mn, kn,
         "; ".join("U%d = %s" % (k + 1, _fmt_mp_matrix(value.omega[k]))
                   for k in range(dim)))
-    doc.add("connection", name, value, src, t)
 
 
-def _decl_lobject(p, doc):
-    t = p.next()
-    name = p.expect("NAME", "a name").text
+def _decl_lobject(p, doc, name):
     p.keyword("over")
     monoid, ideal, (mn, kn) = _model_ref(p, doc)
     dim = monoid.ambient_rank
@@ -555,8 +523,7 @@ def _decl_lobject(p, doc):
     if not gens:
         p.fail("lobject needs at least one generator")
     value = _assemble_lobject(p, monoid, ideal, gens, gamma_blocks, couplings)
-    src = _print_lobject(name, mn, kn, gens, value)
-    doc.add("lobject", name, value, src, t)
+    return value, _print_lobject(name, mn, kn, gens, value)
 
 
 def _gamma_index(tok, dim):
@@ -608,60 +575,40 @@ def _assemble_lobject(p, monoid, ideal, gens, gamma_blocks, couplings):
     return LObject(monoid, ideal, degrees, [Matrix(m) for m in mats])
 
 
-def _decl_germ(p, doc):
+def _decl_germ(p, doc, name):
     from .germs import DiffModuleGerm
 
-    t = p.next()
-    name = p.expect("NAME", "a name").text
     p.expect("=", "'='")
-    rows = p.parse_entry_matrix("germ", None)
-    value = DiffModuleGerm(rows)
-    src = "germ %s = %s" % (name, _fmt_rf_matrix(value.theta_matrix))
-    doc.add("germ", name, value, src, t)
+    value = DiffModuleGerm(p.parse_entry_matrix("germ", None))
+    return value, "germ %s = %s" % (name, _fmt_rf_matrix(value.theta_matrix))
 
 
-def _decl_germmap(p, doc):
+def _decl_germmap(p, doc, name):
     from .germs import GermMap
 
-    t = p.next()
-    name = p.expect("NAME", "a name").text
     p.keyword("on")
     monoid, ideal, (mn, kn) = _model_ref(p, doc)
     p.expect("{", "'{'")
     face_idx = None
-    coords = []
-    units = []
+    fields = {"coords": [], "units": []}
     while not p.accept("}"):
         key = p.expect("NAME", "'face', 'coords', or 'units'").text
         p.expect("=", "'='")
         if key == "face":
             face_idx = p.parse_int_vector()
-        elif key == "coords":
-            coords = _parse_germ_vector(p)
-        elif key == "units":
-            units = _parse_germ_vector(p)
+        elif key in fields:
+            fields[key] = p.parse_list(lambda: p.parse_expr("germ"))
         else:
             p.fail("unknown germmap field %r" % key)
         p.accept(";")
     if face_idx is None:
         p.fail("germmap needs a face")
     face = _find_face(p, monoid, face_idx)
-    value = GermMap(monoid, face, coords, units)
-    src = "germmap %s on (%s, %s) { face = %s; coords = %s; units = %s }" % (
-        name, mn, kn, _fmt_ints(face_idx),
-        _fmt_rf_vec(value.coordinate_values), _fmt_rf_vec(value.splitting_units))
-    doc.add("germmap", name, value, src, t)
-
-
-def _parse_germ_vector(p):
-    p.expect("[", "'['")
-    out = []
-    if p.peek().kind != "]":
-        out.append(p.parse_expr("germ"))
-        while p.accept(","):
-            out.append(p.parse_expr("germ"))
-    p.expect("]", "']'")
-    return out
+    value = GermMap(monoid, face, fields["coords"], fields["units"])
+    return value, ("germmap %s on (%s, %s) { face = %s; coords = %s; "
+                   "units = %s }" % (name, mn, kn, _fmt_ints(face_idx),
+                                     _fmt_rf_vec(value.coordinate_values),
+                                     _fmt_rf_vec(value.splitting_units)))
 
 
 def _find_face(p, monoid, indices):
@@ -672,20 +619,20 @@ def _find_face(p, monoid, indices):
     p.fail("generator indices %s do not span a face" % sorted(target))
 
 
-def _decl_embedding(p, doc):
+def _decl_embedding(p, doc, name):
     from .canext import GoodEmbeddingModel
 
-    t = p.next()
-    name = p.expect("NAME", "a name").text
     p.expect("=", "'='")
     monoid, ideal, (mn, kn) = _model_ref(p, doc)
     p.keyword("x", "'x <rank>'")
     r = p.parse_int()
-    value = GoodEmbeddingModel(monoid, ideal, r)
-    src = "embedding %s = (%s, %s) x %d" % (name, mn, kn, r)
-    doc.add("embedding", name, value, src, t)
-    # register the derived monoids and ideals for lobject declarations;
-    # they reprint through the embedding declaration itself
+    return (GoodEmbeddingModel(monoid, ideal, r),
+            "embedding %s = (%s, %s) x %d" % (name, mn, kn, r))
+
+
+def _add_embedding_models(doc, name, value):
+    """Register an embedding's monoids and ideals for lobject declarations;
+    they reprint through the embedding declaration itself."""
     for suffix, mono, ide in (("Q", value.monoid_q, value.ideal_q),
                               ("Qp", value.monoid_qp, value.ideal_qp)):
         doc.add("monoid", "%s_%s" % (name, suffix), mono,
@@ -699,11 +646,9 @@ def _decl_embedding(p, doc):
                 derived=True)
 
 
-def _decl_localsystem(p, doc):
+def _decl_localsystem(p, doc, name):
     from .cohomology import LocalSystem
 
-    t = p.next()
-    name = p.expect("NAME", "a name").text
     p.keyword("r", "'r = <rank>'")
     p.expect("=", "'='")
     r = p.parse_int()
@@ -725,8 +670,7 @@ def _decl_localsystem(p, doc):
         blocks.append((labels, nils))
         p.accept(";")
     value = LocalSystem(r, blocks)
-    src = _print_localsystem(name, value)
-    doc.add("localsystem", name, value, src, t)
+    return value, _print_localsystem(name, value)
 
 
 _DECLS = {
@@ -745,20 +689,24 @@ _DECLS = {
 
 # -- canonical printing -------------------------------------------------------
 
+def _fmt_list(fmt, items):
+    return "[%s]" % ",".join(fmt(x) for x in items)
+
+
 def _fmt_ints(v):
-    return "[%s]" % ",".join(str(x) for x in v)
+    return _fmt_list(str, v)
 
 
 def _fmt_veclist(vs):
-    return "[%s]" % ",".join(_fmt_ints(v) for v in vs)
+    return _fmt_list(_fmt_ints, vs)
 
 
 def _fmt_scalar_vec(v):
-    return "[%s]" % ",".join(format_scalar(x) for x in v)
+    return _fmt_list(format_scalar, v)
 
 
 def _fmt_scalar_matrix(m):
-    return "[%s]" % ",".join(_fmt_scalar_vec(row) for row in m.entries)
+    return _fmt_list(_fmt_scalar_vec, m.entries)
 
 
 def _fmt_monpoly(mp):
@@ -776,8 +724,7 @@ def _fmt_monpoly(mp):
 
 
 def _fmt_mp_matrix(mat):
-    return "[%s]" % ",".join(
-        "[%s]" % ",".join(_fmt_monpoly(x) for x in row) for row in mat)
+    return _fmt_list(lambda row: _fmt_list(_fmt_monpoly, row), mat)
 
 
 def _fmt_poly(pcoeffs):
@@ -805,11 +752,11 @@ def _fmt_ratfunc(f):
 
 
 def _fmt_rf_vec(v):
-    return "[%s]" % ",".join(_fmt_ratfunc(x) for x in v)
+    return _fmt_list(_fmt_ratfunc, v)
 
 
 def _fmt_rf_matrix(m):
-    return "[%s]" % ",".join(_fmt_rf_vec(row) for row in m)
+    return _fmt_list(_fmt_rf_vec, m)
 
 
 def _print_lobject(name, mn, kn, gens, V):
@@ -852,32 +799,18 @@ def print_document(doc: Document) -> str:
                      if name not in doc.derived) + "\n"
 
 
-def lobject_to_json(V) -> dict:
-    """JSON-ready dict for a graded module; inverse of lobject_from_json."""
-    return {
-        "monoid": [list(g) for g in V.monoid.generators],
-        "ambient_rank": V.monoid.ambient_rank,
-        "ideal": [list(k) for k in V.ideal.generators],
-        "degrees": [[format_scalar(x) for x in d] for d in V.degrees],
-        "log_matrices": [[[format_scalar(x) for x in row]
-                          for row in m.entries] for m in V.log_matrices],
-    }
-
-
-def lobject_from_json(data) -> LObject:
-    from .lobjects import LObject
-    from .monoids import AffineMonoid, MonoidIdeal
-
-    monoid = AffineMonoid(data["monoid"], ambient_rank=data["ambient_rank"])
-    ideal = MonoidIdeal(monoid, data["ideal"], validate=False)
-    degrees = [[parse_scalar_text(x) for x in d] for d in data["degrees"]]
-    mats = [Matrix([[parse_scalar_text(x) for x in row] for row in m])
-            for m in data["log_matrices"]]
-    return LObject(monoid, ideal, degrees, mats)
+def _parse_text(text, read):
+    """read(parser) on the whole of text."""
+    p = _Parser(text)
+    value = read(p)
+    p.expect("EOF", "end of input")
+    return value
 
 
 def parse_scalar_text(text) -> GaussRat:
-    p = _Parser(text)
-    v = p.parse_scalar()
-    p.expect("EOF", "end of input")
-    return v
+    return _parse_text(text, _Parser.parse_scalar)
+
+
+def parse_window_text(text) -> Fraction:
+    """The lower end a of a window "(a,b]" written as in a tau declaration."""
+    return _parse_text(text, _Parser.parse_window)

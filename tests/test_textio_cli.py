@@ -3,6 +3,7 @@ import io
 import json
 import os
 import shlex
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -77,6 +78,45 @@ def test_parse_error_positions():
         assert (e.value.line, e.value.column) == (1, column)
         assert e.value.expected == (word,)
         assert str(e.value) == "1:%d: expected '%s'" % (column, word)
+    # one malformed list of each kind, a missing name and a duplicate name:
+    # the exact message, position and expected tokens
+    model = "monoid N = [[1]]\nideal K0 in N = []\n"
+    for text, message, line, column, expected in [
+            ("monoid P = [[1,x]]",
+             "expected an integer, found 'x'", 1, 16, ("INT",)),
+            ("monoid P = [[1] [2]]", "expected ']', found '['", 1, 17, ("]",)),
+            (model + "lobject V over (N, K0) { gen g: deg=[1 2] }",
+             "expected ']', found '2'", 3, 40, ("]",)),
+            (model + "lobject V over (N, K0) { gen g: deg=[0]; "
+             "gamma1: label=0 nilpotent=[[0],0] }",
+             "expected '[', found '0'", 3, 73, ("[",)),
+            (model + "connection C on (N, K0) { U1 = [[1] [2]] }",
+             "expected ']', found '['", 3, 37, ("]",)),
+            (model + "connection C on (N, K0) { U1 = [] }",
+             "expected '[', found ']'", 3, 33, ("[",)),
+            ("germ G = []", "expected '[', found ']'", 1, 11, ("[",)),
+            (model + "germmap M on (N, K0) { face = [0 1] }",
+             "expected ']', found '1'", 3, 34, ("]",)),
+            (model + "germmap M on (N, K0) { face = [0]; coords = [t t] }",
+             "expected ']', found 't'", 3, 48, ("]",)),
+            (model + "splitting S on (N, K0) { units = [1,] }",
+             "expected a number, i, or '('", 3, 37, ("INT", "NAME", "(")),
+            ("localsystem W r=1 { block: labels=[0] nilpotent1=[0] }",
+             "expected '[', found '0'", 1, 51, ("[",)),
+            ("localsystem W r=2 { block: labels=[0,0] nilpotent1=[[0]] "
+             "nilpotent3=[[0]] }",
+             "expected 'nilpotent2'", 1, 58, ("nilpotent2",)),
+            ("tau T = window(0,1)", "expected ']', found ')'", 1, 19, ("]",)),
+            ("tau T = window(0,2]", "window must have unit length", 1, 20,
+             ()),
+            ("monoid = [[1]]", "expected a name, found '='", 1, 8, ("NAME",)),
+            ("monoid P = [[1]]\nmonoid P = [[2]]", "duplicate name 'P'", 2, 1,
+             ())]:
+        with pytest.raises(ParseError) as e:
+            parse_document(text)
+        assert str(e.value) == "%d:%d: %s" % (line, column, message)
+        assert (e.value.line, e.value.column) == (line, column)
+        assert e.value.expected == expected
 
 
 def test_scalar_and_expression_forms():
@@ -86,6 +126,24 @@ def test_scalar_and_expression_forms():
     c = doc.get("C", "connection")
     assert c.omega[0][0][0].constant_value() == GaussRat(F(1, 2), F(3, 4))
     assert not c.omega[0][0][1].is_constant()
+
+
+def test_powers_are_square_and_multiply():
+    # an exponent costs about log2(e) products, in ring and germ entries
+    model = "monoid N = [[1]]\nideal K0 in N = []\n"
+    for text in [model + "connection C on (N, K0) { U1 = [[x^[1]^100000]] }",
+                 "germ G = [[t^3000]]"]:
+        start = time.perf_counter()
+        parse_document(text)
+        assert time.perf_counter() - start < 0.5
+    doc = parse_document(
+        model + "connection C on (N, K0) { U1 = [[(1+x^[1])^7]] }\n"
+        "connection D on (N, K0) { U1 = [[(1+x^[1])*(1+x^[1])*(1+x^[1])*"
+        "(1+x^[1])*(1+x^[1])*(1+x^[1])*(1+x^[1])]] }\n"
+        "germ G = [[(1+t)^7]]\n"
+        "germ H = [[(1+t)*(1+t)*(1+t)*(1+t)*(1+t)*(1+t)*(1+t)]]\n")
+    assert doc.get("C").omega == doc.get("D").omega
+    assert doc.get("G").theta_matrix == doc.get("H").theta_matrix
 
 
 def test_embedding_declares_derived_models():
@@ -176,7 +234,7 @@ def test_cli_bound_flag_is_unknown():
 
 
 @pytest.mark.parametrize("value", ["(a,b]", "foo", "(0,2]", "", "(0,1",
-                                   "(1/0,1]", "(0,1,2]"])
+                                   "(1/0,1]", "(0,1,2]", "(0.5,1.5]"])
 def test_cli_bad_tau_window_is_usage_error(value):
     r = run_cli(["canext", "extend", demo_path("canext.txt"), "V", "E",
                  "--tau-window=" + value])
@@ -223,6 +281,21 @@ def test_cli_tau_window_flag_has_no_short_alias():
     r = run_cli(args + ["--tau-window=(-1,0]"])
     assert r.returncode == 0
     assert json.loads(r.stdout)["diagnostics"] == []
+
+
+def test_cli_tau_window_flag_reads_a_tau_window(tmp_path):
+    # the flag takes the window of a tau declaration, in the same syntax
+    with open(demo_path("canext.txt")) as fh:
+        text = fh.read()
+    p = tmp_path / "canext_half.txt"
+    p.write_text(text.replace("tau T = window(-1,0]",
+                              "tau T = window(-1/2,1/2]"))
+    args = ["canext", "extend", demo_path("canext.txt"), "V", "E"]
+    declared = run_cli(["canext", "extend", str(p), "V", "E"])
+    flagged = run_cli(args + ["--tau-window=(-1/2,1/2]"])
+    assert declared.returncode == flagged.returncode == 0
+    assert declared.stdout == flagged.stdout
+    assert run_cli(args).stdout != flagged.stdout
 
 
 def test_cli_reports_byte_stable(sample_path):
@@ -308,18 +381,6 @@ def test_lobject_nilpotent_block_shape_is_parse_error():
                        "lobject V over (N, KH) { gen g1: deg=[0]; "
                        "gen g2: deg=[0]; gamma1: label=0 "
                        "nilpotent=[[0],[0]] }\n")
-
-
-def test_lobject_json_round_trip():
-    from corpus import free_model, random_lobject, rng
-    from logres.textio import lobject_from_json, lobject_to_json
-
-    r = rng(71)
-    P, K = free_model(2)
-    for _ in range(5):
-        V = random_lobject(r, P, K, rank_max=4)
-        data = json.loads(json.dumps(lobject_to_json(V), sort_keys=True))
-        assert lobject_from_json(data) == V
 
 
 def test_cli_concatenates_extra_document_files(tmp_path):
